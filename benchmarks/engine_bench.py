@@ -1,6 +1,8 @@
 """Engine throughput meter: events/sec on the pinned acceptance workloads.
 
-Two workloads, each run with the macro-event batching core off and on:
+Two workloads, each run on the default path (macro-event batching core
+wired, as on every machine) and on the per-event fallback (the same
+machine with ``protocol.batch_advancer = None``):
 
 * **fig3** — 32 processors fighting over one hardware exclusive lock
   (the paper's Figure 3 point with the most ring traffic; >90 % of
@@ -13,14 +15,13 @@ Measured by the engine's own ``Engine.stats`` counter.  Usable as::
 
     python benchmarks/engine_bench.py                  # print the numbers
     python benchmarks/engine_bench.py --out bench.json # also write JSON
-    python benchmarks/engine_bench.py --check          # exit 1 if batching
-                                                       # does not pay on fig3
+    python benchmarks/engine_bench.py --check          # exit 1 if the default
+                                                       # path does not pay on fig3
 
 The JSON entry shape matches the committed ``BENCH_engine.json`` history
 file at the repository root, so a new measurement can be appended
-verbatim.  Batched and unbatched runs must fire the same number of
-events (byte-identity is the batching contract); ``--check`` also
-enforces that.
+verbatim.  Both paths must fire the same number of events (byte-identity
+is the batching contract); ``--check`` also enforces that.
 """
 
 from __future__ import annotations
@@ -44,11 +45,19 @@ WORKLOAD_FIG4 = "fig4 counter-barrier workload: 16 procs, 40 reps, seed 404"
 _INTER_EPISODE_OPS = 20
 
 
-def _record(machine: KsrMachine, workload: str, batching: bool) -> dict:
+def _machine(config: MachineConfig, per_event: bool) -> KsrMachine:
+    """A machine on the default path, or detached onto the fallback."""
+    machine = KsrMachine(config)
+    if per_event:
+        machine.protocol.batch_advancer = None
+    return machine
+
+
+def _record(machine: KsrMachine, workload: str, per_event: bool) -> dict:
     stats = machine.engine.stats
     return {
         "workload": workload,
-        "batching": "on" if batching else "off",
+        "path": "per-event" if per_event else "default",
         "events": stats.events_fired,
         "batched_events": stats.batched_events,
         "wall_seconds": round(stats.wall_seconds, 4),
@@ -57,21 +66,19 @@ def _record(machine: KsrMachine, workload: str, batching: bool) -> dict:
 
 
 def measure(
-    n_procs: int = 32, ops: int = 30, seed: int = 303, *, batching: bool = False
+    n_procs: int = 32, ops: int = 30, seed: int = 303, *, per_event: bool = False
 ) -> dict:
     """Run the fig3 lock workload once; return engine throughput stats."""
-    machine = KsrMachine(
-        MachineConfig.ksr1(n_cells=n_procs, seed=seed, enable_batching=batching)
-    )
+    machine = _machine(MachineConfig.ksr1(n_cells=n_procs, seed=seed), per_event)
     mem = SharedMemory(machine)
     lock = HardwareExclusiveLock(mem)
     params = LockWorkloadParams(ops_per_processor=ops, read_fraction=0.0, seed=seed)
     run_lock_workload(machine, lock, params, n_threads=n_procs)
-    return _record(machine, WORKLOAD, batching)
+    return _record(machine, WORKLOAD, per_event)
 
 
 def measure_fig4(
-    n_procs: int = 16, reps: int = 40, seed: int = 404, *, batching: bool = False
+    n_procs: int = 16, reps: int = 40, seed: int = 404, *, per_event: bool = False
 ) -> dict:
     """Run the fig4 counter-barrier workload once; return engine stats.
 
@@ -79,13 +86,9 @@ def measure_fig4(
     inter-episode compute) so the event population is the one the
     figure-4 sweep generates.
     """
-    machine = KsrMachine(
-        MachineConfig.ksr1(
-            n_cells=n_procs,
-            seed=seed,
-            timer=TimerConfig(enabled=False),
-            enable_batching=batching,
-        )
+    machine = _machine(
+        MachineConfig.ksr1(n_cells=n_procs, seed=seed, timer=TimerConfig(enabled=False)),
+        per_event,
     )
     mem = SharedMemory(machine)
     barrier = make_barrier("counter", mem, n_procs)
@@ -98,37 +101,38 @@ def measure_fig4(
     for i in range(n_procs):
         machine.spawn(f"bar-{i}", body(i), i)
     machine.run()
-    return _record(machine, WORKLOAD_FIG4, batching)
+    return _record(machine, WORKLOAD_FIG4, per_event)
 
 
 def run_all() -> list[dict]:
-    """All four pinned measurements: both workloads, batching off/on."""
+    """All four pinned measurements: both workloads on both paths."""
     return [
-        measure(batching=False),
-        measure(batching=True),
-        measure_fig4(batching=False),
-        measure_fig4(batching=True),
+        measure(),
+        measure(per_event=True),
+        measure_fig4(),
+        measure_fig4(per_event=True),
     ]
 
 
 def check(entries: list[dict]) -> list[str]:
-    """Regression guards: batching must not lose events or throughput."""
+    """Regression guards: the default path must fire exactly the
+    fallback's events, and must be faster than it on fig3."""
     problems: list[str] = []
-    by_key = {(e["workload"], e["batching"]): e for e in entries}
+    by_key = {(e["workload"], e["path"]): e for e in entries}
     for workload in (WORKLOAD, WORKLOAD_FIG4):
-        off, on = by_key.get((workload, "off")), by_key.get((workload, "on"))
-        if off is None or on is None:
+        ref, fast = by_key.get((workload, "per-event")), by_key.get((workload, "default"))
+        if ref is None or fast is None:
             continue
-        if on["events"] != off["events"]:
+        if fast["events"] != ref["events"]:
             problems.append(
-                f"{workload}: batching changed the event count "
-                f"({off['events']} -> {on['events']}) — identity broken"
+                f"{workload}: the default path changed the event count "
+                f"({ref['events']} -> {fast['events']}) — identity broken"
             )
-    fig3_off, fig3_on = by_key.get((WORKLOAD, "off")), by_key.get((WORKLOAD, "on"))
-    if fig3_off and fig3_on and fig3_on["events_per_sec"] <= fig3_off["events_per_sec"]:
+    ref, fast = by_key.get((WORKLOAD, "per-event")), by_key.get((WORKLOAD, "default"))
+    if ref and fast and fast["events_per_sec"] <= ref["events_per_sec"]:
         problems.append(
-            f"fig3: batching on is not faster "
-            f"({fig3_on['events_per_sec']} <= {fig3_off['events_per_sec']} ev/s)"
+            f"fig3: the default path is not faster than the per-event fallback "
+            f"({fast['events_per_sec']} <= {ref['events_per_sec']} ev/s)"
         )
     return problems
 
@@ -139,13 +143,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero if batching loses events or fig3 throughput",
+        help="exit nonzero if the default path loses events or fig3 throughput",
     )
     args = parser.parse_args(argv)
     entries = run_all()
     for record in entries:
         print(
-            f"[batching {record['batching']:>3}] {record['events']} events "
+            f"[{record['path']:>9}] {record['events']} events "
             f"({record['batched_events']} batched) in {record['wall_seconds']:.2f}s "
             f"= {record['events_per_sec']} events/sec  ({record['workload']})"
         )
@@ -160,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"CHECK FAILED: {problem}", file=sys.stderr)
         if problems:
             return 1
-        print("checks passed: identical event counts, fig3 batching pays")
+        print("checks passed: identical event counts, fig3 default path pays")
     return 0
 
 

@@ -118,9 +118,11 @@ class CoherenceProtocol:
         #: transaction and touch no fault counters.
         self.fault_accounting = False
         #: The macro-event layer (:class:`repro.ring.batch.BatchAdvancer`),
-        #: wired by :class:`~repro.machine.ksr.KsrMachine` when
-        #: ``MachineConfig.enable_batching`` is set; ``None`` keeps the
-        #: per-event retry closures.
+        #: always wired by :class:`~repro.machine.ksr.KsrMachine`.  The
+        #: per-event retry closure in :meth:`_block_on_atomic` is its
+        #: automatic fallback under audits, tie shuffling and fault
+        #: seams; ``None`` forces that fallback for every retry (the
+        #: reference side of the equivalence tests).
         self.batch_advancer: Optional[Any] = None
 
     # ------------------------------------------------------------------

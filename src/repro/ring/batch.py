@@ -12,8 +12,8 @@ all events.  Each one is a fixed arithmetic step over the sub-ring's
 Contention *between* retry chains needs no fallback: chains interact
 only through the shared grant heap, and the window executes steps in
 exact global ``(time, seq)`` order, so each step sees the heap state
-the per-event run would have shown it.  What does force the per-event
-path:
+the per-event run would have shown it.  The protocol's per-event retry
+closure stays as the automatic fallback; what routes a retry loop to it:
 
 * any fault seam — an attached injector's ring hooks
   (``fault_hook``/``fault_jitter``), hierarchy-level stall/dead-cell
@@ -57,11 +57,11 @@ class _GspRetryChain(MacroChain):
 class BatchAdvancer(MacroAdvancer):
     """Advances ``get_subpage`` retry chains in closed form.
 
-    Wired by :class:`repro.machine.ksr.KsrMachine` onto
-    ``CoherenceProtocol.batch_advancer`` when
-    ``MachineConfig.enable_batching`` is set; otherwise the protocol
-    keeps its per-event retry closures and this class is never
-    instantiated.
+    Always wired by :class:`repro.machine.ksr.KsrMachine` onto
+    ``CoherenceProtocol.batch_advancer``.  The protocol falls back to
+    its per-event retry closure whenever :meth:`gsp_chain_allowed` or
+    :meth:`start_gsp_chain` refuses a chain (audit hook, tie shuffle,
+    fault seams).
     """
 
     def __init__(self, engine: Engine, hierarchy: "RingHierarchy"):

@@ -43,6 +43,10 @@ __all__ = ["ServiceApp", "make_server", "version_info", "drain_retry_after",
 #: Longest a ``"wait": true`` submission may block the handler thread.
 MAX_WAIT_SECONDS = 600.0
 
+#: Largest body the public ``POST /v1/jobs`` reads; a job spec is a few
+#: hundred bytes of JSON, so a longer announced body gets 413 unread.
+MAX_JOB_BODY_BYTES = 1 << 20
+
 #: Drain budget assumed when shutdown starts without an explicit one
 #: (matches the ``--drain-deadline`` CLI default).
 DEFAULT_DRAIN_DEADLINE = 30.0
@@ -230,6 +234,43 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
+    def _read_body(self, limit: int | None = None) -> bytes | None:
+        """The request body, or ``None`` once an error reply is sent.
+
+        A missing, non-integer or negative ``Content-Length`` gets 400
+        and a length above ``limit`` gets 413, both without reading a
+        byte (``rfile.read(-1)`` would block until the client closes).
+        Either way the connection closes: the unread body would
+        otherwise be parsed as the next request.
+        """
+        try:
+            length = int(self.headers.get("Content-Length", ""))
+        except ValueError:
+            length = -1
+        if length < 0:
+            status, error = 400, "Content-Length must be a non-negative integer"
+        elif limit is not None and length > limit:
+            status, error = 413, f"request body exceeds {limit} bytes"
+        else:
+            return self.rfile.read(length)
+        self._reply(status, {"error": error}, {"Connection": "close"})
+        return None
+
+    def _read_json_object(self, limit: int | None = None) -> dict[str, Any] | None:
+        """The body as a JSON object, or ``None`` once a 4xx is sent."""
+        raw = self._read_body(limit)
+        if raw is None:
+            return None
+        try:
+            body = json.loads(raw or b"null")
+        except ValueError:
+            self._reply(400, {"error": "request body must be valid JSON"})
+            return None
+        if not isinstance(body, dict):
+            self._reply(400, {"error": "request body must be a JSON object"})
+            return None
+        return body
+
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         status, doc = self.app.handle_get(self.path)
         self._reply(status, doc)
@@ -238,14 +279,8 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/v1/jobs":
             self._reply(404, {"error": f"no such endpoint {self.path!r}"})
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = json.loads(self.rfile.read(length) or b"null")
-        except (ValueError, json.JSONDecodeError):
-            self._reply(400, {"error": "request body must be valid JSON"})
-            return
-        if not isinstance(body, dict):
-            self._reply(400, {"error": "request body must be a JSON object"})
+        body = self._read_json_object(MAX_JOB_BODY_BYTES)
+        if body is None:
             return
         status, doc, headers = self.app.handle_submit(body)
         self._reply(status, doc, headers)

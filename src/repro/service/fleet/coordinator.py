@@ -1021,8 +1021,6 @@ def make_coordinator_server(
     admits standalone workers, and every ``/v1/fleet/*`` path — reads
     included — rejects requests without a valid ``X-Fleet-Token``.
     """
-    import json as _json
-
     from repro.service.app import _Handler, _ServiceHTTPServer
 
     class Handler(_Handler):
@@ -1042,14 +1040,8 @@ def make_coordinator_server(
             if self.path == "/v1/fleet/register":
                 if not self._fleet_authorized():
                     return
-                try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                    body = _json.loads(self.rfile.read(length) or b"null")
-                except (ValueError, _json.JSONDecodeError):
-                    self._reply(400, {"error": "request body must be valid JSON"})
-                    return
-                if not isinstance(body, dict):
-                    self._reply(400, {"error": "request body must be a JSON object"})
+                body = self._read_json_object()
+                if body is None:
                     return
                 status, doc = self.app.handle_register(body)
                 self._reply(status, doc)

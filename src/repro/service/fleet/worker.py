@@ -293,10 +293,6 @@ class _WorkerHandler(_Handler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _read_pickle_body(self) -> Any:
-        length = int(self.headers.get("Content-Length", "0"))
-        return wire.load_payload(self.rfile.read(length))
-
     def _fleet_authorized(self) -> bool:
         presented = self.headers.get(wire.FLEET_TOKEN_HEADER)
         if self.app.auth.verify(presented):
@@ -327,8 +323,11 @@ class _WorkerHandler(_Handler):
         if self.path in ("/v1/fleet/map", "/v1/fleet/entry", "/v1/fleet/repair"):
             if not self._fleet_authorized():
                 return
+            raw = self._read_body()
+            if raw is None:
+                return
             try:
-                body = self._read_pickle_body()
+                body = wire.load_payload(raw)
             except (wire.WireError, ValueError):
                 self._reply(400, {"error": "malformed fleet payload"})
                 return

@@ -109,8 +109,8 @@ class EngineStats:
     pending: int
     #: Subset of ``events_fired`` advanced in closed form by a macro-event
     #: batcher (:mod:`repro.sim.batch`) instead of heap dispatch.  Always
-    #: 0 without batching; the total above includes these, so event
-    #: budgets and livelock guards see identical counts either way.
+    #: 0 on the per-event fallback; the total above includes these, so
+    #: event budgets and livelock guards see identical counts either way.
     batched_events: int = 0
 
 

@@ -1,14 +1,18 @@
-"""Batch-on vs batch-off equivalence on the paper's figure workloads.
+"""Default path vs per-event fallback on the paper's figure workloads.
 
 The macro-event core must be invisible in every result the experiments
 produce: figure points, observability captures (compared as pickled
 bytes — the strongest equality the obs layer offers) and degraded-mode
-campaigns.  A Hypothesis sweep over random small workloads backs the
-hand-picked points.
+campaigns.  The reference side runs the same entry points with the
+batch advancer detached from every machine they build
+(``protocol.batch_advancer = None``), which forces the protocol's
+per-event retry closure.  A Hypothesis sweep over random small
+workloads backs the hand-picked points.
 """
 
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.barriers import measure_barrier
@@ -28,62 +32,66 @@ from repro.sync.locks import (
 )
 
 
+@pytest.fixture
+def per_event():
+    """Call an experiment entry point with the batch advancer detached
+    from every :class:`KsrMachine` it builds — the per-event reference."""
+
+    def call(entry, *args, **kwargs):
+        built: list[KsrMachine] = []
+        init = KsrMachine.__init__
+
+        def detached_init(self, *a, **kw):
+            init(self, *a, **kw)
+            self.protocol.batch_advancer = None
+            built.append(self)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(KsrMachine, "__init__", detached_init)
+            result = entry(*args, **kwargs)
+        assert built, f"{entry.__name__} built no machine"
+        assert all(m.engine.stats.batched_events == 0 for m in built)
+        return result
+
+    return call
+
+
 class TestFigurePoints:
     """One representative point per figure, captures compared as bytes."""
 
-    def test_fig2_latency_point(self):
-        off, cap_off = measure_latencies(4, "network", "read", samples=40, obs=ObsSpec())
-        on, cap_on = measure_latencies(
-            4, "network", "read", samples=40, obs=ObsSpec(), batching=True
+    def test_fig2_latency_point(self, per_event):
+        off, cap_off = per_event(
+            measure_latencies, 4, "network", "read", samples=40, obs=ObsSpec()
         )
+        on, cap_on = measure_latencies(4, "network", "read", samples=40, obs=ObsSpec())
         assert on == off
         assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
 
-    def test_fig3_lock_point(self):
-        off, cap_off = measure_lock("hardware", 8, 0.0, ops=6, obs=ObsSpec())
-        on, cap_on = measure_lock(
-            "hardware", 8, 0.0, ops=6, obs=ObsSpec(), batching=True
-        )
+    def test_fig3_lock_point(self, per_event):
+        off, cap_off = per_event(measure_lock, "hardware", 8, 0.0, ops=6, obs=ObsSpec())
+        on, cap_on = measure_lock("hardware", 8, 0.0, ops=6, obs=ObsSpec())
         assert on == off
         assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
 
-    def test_fig3_rw_lock_point(self):
-        off, cap_off = measure_lock("rw", 6, 0.4, ops=6, obs=ObsSpec())
-        on, cap_on = measure_lock("rw", 6, 0.4, ops=6, obs=ObsSpec(), batching=True)
+    def test_fig3_rw_lock_point(self, per_event):
+        off, cap_off = per_event(measure_lock, "rw", 6, 0.4, ops=6, obs=ObsSpec())
+        on, cap_on = measure_lock("rw", 6, 0.4, ops=6, obs=ObsSpec())
         assert on == off
         assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
 
-    def test_fig4_barrier_point(self):
-        def point(batching: bool):
-            config = MachineConfig.ksr1(
-                n_cells=8,
-                seed=404,
-                timer=TimerConfig(enabled=False),
-                enable_batching=batching,
-            )
-            return measure_barrier(
-                "counter", 8, machine_config=config, reps=4, obs=ObsSpec()
-            )
-
-        off, cap_off = point(False)
-        on, cap_on = point(True)
+    def test_fig4_barrier_point(self, per_event):
+        config = MachineConfig.ksr1(n_cells=8, seed=404, timer=TimerConfig(enabled=False))
+        kwargs = dict(machine_config=config, reps=4, obs=ObsSpec())
+        off, cap_off = per_event(measure_barrier, "counter", 8, **kwargs)
+        on, cap_on = measure_barrier("counter", 8, **kwargs)
         assert on == off
         assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
 
-    def test_fig5_two_ring_barrier_point(self):
-        def point(batching: bool):
-            config = MachineConfig.ksr2(
-                n_cells=36,
-                seed=404,
-                timer=TimerConfig(enabled=False),
-                enable_batching=batching,
-            )
-            return measure_barrier(
-                "tree", 34, machine_config=config, reps=3, obs=ObsSpec()
-            )
-
-        off, cap_off = point(False)
-        on, cap_on = point(True)
+    def test_fig5_two_ring_barrier_point(self, per_event):
+        config = MachineConfig.ksr2(n_cells=36, seed=404, timer=TimerConfig(enabled=False))
+        kwargs = dict(machine_config=config, reps=3, obs=ObsSpec())
+        off, cap_off = per_event(measure_barrier, "tree", 34, **kwargs)
+        on, cap_on = measure_barrier("tree", 34, **kwargs)
         assert on == off
         assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
 
@@ -92,27 +100,27 @@ class TestDegradedCampaign:
     """F1 degraded points: fault seams force the per-event path, and the
     result is identical either way."""
 
-    def test_f1_zero_plan_point(self):
-        off = degraded_lock_point("rw", 6, 0.2, ops=5, obs=ObsSpec())
-        on = degraded_lock_point("rw", 6, 0.2, ops=5, obs=ObsSpec(), batching=True)
+    def test_f1_zero_plan_point(self, per_event):
+        off = per_event(degraded_lock_point, "rw", 6, 0.2, ops=5, obs=ObsSpec())
+        on = degraded_lock_point("rw", 6, 0.2, ops=5, obs=ObsSpec())
         assert on.seconds == off.seconds
         assert on.faults == off.faults
         assert pickle.dumps(on.capture) == pickle.dumps(off.capture)
 
-    def test_f1_faulted_point(self):
+    def test_f1_faulted_point(self, per_event):
         plan = FaultPlan(corruption_rate=0.02, stall_rate=2e-6, seed_salt=3)
-        off = degraded_lock_point("rw", 6, 0.2, ops=5, plan=plan, obs=ObsSpec())
-        on = degraded_lock_point(
-            "rw", 6, 0.2, ops=5, plan=plan, obs=ObsSpec(), batching=True
+        off = per_event(
+            degraded_lock_point, "rw", 6, 0.2, ops=5, plan=plan, obs=ObsSpec()
         )
+        on = degraded_lock_point("rw", 6, 0.2, ops=5, plan=plan, obs=ObsSpec())
         assert on.seconds == off.seconds
         assert on.faults == off.faults
         assert pickle.dumps(on.capture) == pickle.dumps(off.capture)
 
-    def test_f1_dead_cell_point(self):
+    def test_f1_dead_cell_point(self, per_event):
         plan = FaultPlan(dead_cells=(7,))
-        off = degraded_lock_point("hardware", 4, 0.0, ops=5, plan=plan)
-        on = degraded_lock_point("hardware", 4, 0.0, ops=5, plan=plan, batching=True)
+        off = per_event(degraded_lock_point, "hardware", 4, 0.0, ops=5, plan=plan)
+        on = degraded_lock_point("hardware", 4, 0.0, ops=5, plan=plan)
         assert on.seconds == off.seconds
         assert on.faults == off.faults
 
@@ -123,11 +131,11 @@ def _run_history(
     seed: int,
     read_fraction: float,
     plan: FaultPlan | None,
-    batching: bool,
+    per_event: bool,
 ) -> tuple:
-    machine = KsrMachine(
-        MachineConfig.ksr1(n_cells=n_procs, seed=seed, enable_batching=batching)
-    )
+    machine = KsrMachine(MachineConfig.ksr1(n_cells=n_procs, seed=seed))
+    if per_event:
+        machine.protocol.batch_advancer = None
     if plan is not None:
         FaultInjector(plan).attach(machine)
     history: list[float] = []
@@ -156,8 +164,8 @@ class TestPropertyEquivalence:
         read_fraction=st.sampled_from([0.0, 0.5]),
     )
     def test_random_workloads_identical(self, n_procs, ops, seed, read_fraction):
-        off = _run_history(n_procs, ops, seed, read_fraction, None, False)
-        on = _run_history(n_procs, ops, seed, read_fraction, None, True)
+        off = _run_history(n_procs, ops, seed, read_fraction, None, True)
+        on = _run_history(n_procs, ops, seed, read_fraction, None, False)
         assert on == off
 
     @settings(max_examples=6, deadline=None)
@@ -172,6 +180,6 @@ class TestPropertyEquivalence:
         self, n_procs, ops, seed, corruption, stall
     ):
         plan = FaultPlan(corruption_rate=corruption, stall_rate=stall, seed_salt=seed % 7)
-        off = _run_history(n_procs, ops, seed, 0.0, plan, False)
-        on = _run_history(n_procs, ops, seed, 0.0, plan, True)
+        off = _run_history(n_procs, ops, seed, 0.0, plan, True)
+        on = _run_history(n_procs, ops, seed, 0.0, plan, False)
         assert on == off

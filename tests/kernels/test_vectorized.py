@@ -1,113 +1,12 @@
-"""The vectorized-pricing layer is exact: memoized results equal the
-plain model's, shifted streams equal directly built ones."""
+"""Shifted stream construction is exact: a translated stream equals
+the one built directly at the shifted base."""
 
 import numpy as np
 import pytest
 
-from repro.kernels.vectorized import (
-    MemoizedAnalyticCache,
-    shift_stream,
-    stream_fingerprint,
-)
-from repro.machine.config import SUBPAGE_BYTES, MachineConfig
-from repro.memory.analytic_cache import AnalyticCache
-from repro.memory.streams import concat, gather, sequential, strided
-
-
-def _configs():
-    cfg = MachineConfig.ksr1(n_cells=2)
-    return cfg.subcache, cfg.local_cache
-
-
-def _streams():
-    rng = np.random.default_rng(7)
-    return [
-        sequential(0, 4096, write_fraction=0.5),
-        sequential(1 << 16, 4096, write_fraction=0.5),
-        strided(0, 512, 33),
-        gather(0, rng.integers(0, 8192, size=1024)),
-        concat([sequential(0, 256), gather(2048, rng.integers(0, 512, size=128))]),
-    ]
-
-
-class TestMemoizedCache:
-    @pytest.mark.parametrize("iterations", [1, 3])
-    def test_results_match_plain_model(self, iterations):
-        for config in _configs():
-            plain = AnalyticCache(config)
-            memo = MemoizedAnalyticCache(config)
-            for stream in _streams():
-                assert memo.simulate(stream, iterations=iterations) == plain.simulate(
-                    stream, iterations=iterations
-                )
-
-    def test_repeat_simulation_hits_the_memo(self):
-        config = _configs()[0]
-        memo = MemoizedAnalyticCache(config)
-        stream = sequential(0, 2048, write_fraction=0.25)
-        first = memo.simulate(stream)
-        assert memo.memo_hits == 0
-        second = memo.simulate(stream)
-        assert second == first
-        assert memo.memo_hits == 1
-
-    def test_frame_aligned_translation_hits_the_memo(self):
-        """Processor p's stream — processor 0's shifted by whole
-        allocation frames — must price from the memo."""
-        config = _configs()[1]
-        memo = MemoizedAnalyticCache(config)
-        plain = AnalyticCache(config)
-        base = sequential(0, 4096, write_fraction=0.5)
-        frame_bytes = memo.alloc_subpages * SUBPAGE_BYTES
-        translated = sequential(3 * frame_bytes, 4096, write_fraction=0.5)
-        result0 = memo.simulate(base)
-        result3 = memo.simulate(translated)
-        assert memo.memo_hits == 1
-        assert result3 == result0 == plain.simulate(translated)
-
-    def test_unaligned_translation_misses_but_stays_exact(self):
-        config = _configs()[1]
-        memo = MemoizedAnalyticCache(config)
-        plain = AnalyticCache(config)
-        memo.simulate(sequential(0, 4096))
-        shifted = sequential(SUBPAGE_BYTES, 4096)
-        assert memo.simulate(shifted) == plain.simulate(shifted)
-
-    def test_iterations_key_separately(self):
-        config = _configs()[0]
-        memo = MemoizedAnalyticCache(config)
-        plain = AnalyticCache(config)
-        stream = strided(0, 600, 17)
-        assert memo.simulate(stream, iterations=1) == plain.simulate(stream)
-        assert memo.simulate(stream, iterations=4) == plain.simulate(
-            stream, iterations=4
-        )
-        assert memo.memo_hits == 0
-
-    def test_empty_stream_bypasses_memo(self):
-        config = _configs()[0]
-        memo = MemoizedAnalyticCache(config)
-        plain = AnalyticCache(config)
-        empty = concat([])
-        assert memo.simulate(empty) == plain.simulate(empty)
-        assert memo.memo_hits == memo.memo_misses == 0
-
-
-class TestStreamFingerprint:
-    def test_translation_invariant(self):
-        a = sequential(0, 1000, write_fraction=0.5)
-        b = sequential(64 * SUBPAGE_BYTES, 1000, write_fraction=0.5)
-        assert stream_fingerprint(a)[0] == stream_fingerprint(b)[0]
-
-    def test_content_sensitive(self):
-        a = sequential(0, 1000, write_fraction=0.5)
-        assert stream_fingerprint(a) != stream_fingerprint(sequential(0, 1001, write_fraction=0.5))
-        assert stream_fingerprint(a) != stream_fingerprint(sequential(0, 1000, write_fraction=0.25))
-
-    def test_cached_on_the_stream_object(self):
-        stream = sequential(0, 128)
-        fp = stream_fingerprint(stream)
-        assert stream_fingerprint(stream) is fp
+from repro.kernels.vectorized import shift_stream
+from repro.machine.config import SUBPAGE_BYTES
+from repro.memory.streams import gather, sequential, strided
 
 
 class TestShiftStream:

@@ -4,8 +4,10 @@ The contract of :mod:`repro.sim.batch` is that a batched run is
 indistinguishable from a per-event run in everything except wall-clock:
 same fire times in the same order, same RNG consumption, same counters,
 same final state.  These tests drive full :class:`KsrMachine` lock
-workloads (the chain shape the batch layer coalesces) with the flag on
-and off and compare everything observable.
+workloads (the chain shape the batch layer coalesces) on the default
+path and on the per-event fallback — reached by detaching the advancer
+(``machine.protocol.batch_advancer = None``) — and compare everything
+observable.
 """
 
 import numpy as np
@@ -25,9 +27,12 @@ from repro.sync.locks import (
 )
 
 
-def _lock_machine(batching: bool, *, n_procs: int = 6, seed: int = 11) -> KsrMachine:
-    config = MachineConfig.ksr1(n_cells=n_procs, seed=seed, enable_batching=batching)
-    return KsrMachine(config)
+def _lock_machine(per_event: bool = False, *, n_procs: int = 6, seed: int = 11) -> KsrMachine:
+    """A default machine, or one forced onto the per-event fallback."""
+    machine = KsrMachine(MachineConfig.ksr1(n_cells=n_procs, seed=seed))
+    if per_event:
+        machine.protocol.batch_advancer = None
+    return machine
 
 
 def _run_lock(
@@ -76,25 +81,32 @@ def _state(machine: KsrMachine) -> dict:
 
 class TestByteIdentity:
     def test_lock_workload_history_identical(self):
-        off = _lock_machine(False)
+        off = _lock_machine(per_event=True)
         hist_off = _run_lock(off)
-        on = _lock_machine(True)
+        on = _lock_machine()
         hist_on = _run_lock(on)
         assert hist_on == hist_off  # same times, same order, same count
         assert _state(on) == _state(off)
         assert off.engine.stats.batched_events == 0
         assert on.engine.stats.batched_events > 0
 
+    def test_default_machine_batches(self):
+        """Batching is wired unconditionally: a stock machine running a
+        contended lock coalesces retries without any opt-in."""
+        machine = KsrMachine(MachineConfig.ksr1(n_cells=6, seed=11))
+        _run_lock(machine)
+        assert machine.engine.stats.batched_events > 0
+
     def test_rw_lock_history_identical(self):
-        off = _lock_machine(False)
+        off = _lock_machine(per_event=True)
         hist_off = _run_lock(off, kind="rw")
-        on = _lock_machine(True)
+        on = _lock_machine()
         hist_on = _run_lock(on, kind="rw")
         assert hist_on == hist_off
         assert _state(on) == _state(off)
 
     def test_batched_events_are_a_subset(self):
-        on = _lock_machine(True)
+        on = _lock_machine()
         _run_lock(on)
         stats = on.engine.stats
         assert 0 < stats.batched_events <= stats.events_fired
@@ -107,8 +119,8 @@ class TestRunBoundaries:
     @pytest.mark.parametrize("max_events", [100, 777, 2001])
     def test_max_events_boundary(self, max_events):
         states = []
-        for batching in (False, True):
-            machine = _lock_machine(batching)
+        for per_event in (True, False):
+            machine = _lock_machine(per_event)
             history: list[float] = []
             machine.engine.probe = history.append
             mem = SharedMemory(machine)
@@ -122,8 +134,8 @@ class TestRunBoundaries:
 
     def test_until_boundary(self):
         states = []
-        for batching in (False, True):
-            machine = _lock_machine(batching)
+        for per_event in (True, False):
+            machine = _lock_machine(per_event)
             history: list[float] = []
             machine.engine.probe = history.append
             mem = SharedMemory(machine)
@@ -140,10 +152,10 @@ class TestFallbacks:
     def test_audit_hook_forces_per_event_anchors(self):
         """With an audit hook every fire is a real event (the auditors
         need Event objects), and the run is still identical."""
-        baseline = _lock_machine(False)
+        baseline = _lock_machine(per_event=True)
         hist_base = _run_lock(baseline)
 
-        audited = _lock_machine(True)
+        audited = _lock_machine()
         seen = []
         audited.engine.audit_hook = lambda event: seen.append(event.time)
         hist_audited = _run_lock(audited)
@@ -152,20 +164,20 @@ class TestFallbacks:
         assert len(seen) == len(hist_base)
 
     def test_tie_shuffle_forces_per_event_anchors(self):
-        machine = _lock_machine(True)
+        machine = _lock_machine()
         machine.engine.shuffle_same_time_ties(np.random.default_rng(0))
         _run_lock(machine)
         assert machine.engine.stats.batched_events == 0
 
     def test_stall_fault_plan_forces_per_event(self):
-        machine = _lock_machine(True)
+        machine = _lock_machine()
         plan = FaultPlan(stall_rate=1e-5)
         FaultInjector(plan).attach(machine)
         _run_lock(machine)
         assert machine.engine.stats.batched_events == 0
 
     def test_corruption_fault_plan_forces_per_event(self):
-        machine = _lock_machine(True)
+        machine = _lock_machine()
         plan = FaultPlan(corruption_rate=0.05)
         FaultInjector(plan).attach(machine)
         _run_lock(machine)
@@ -174,11 +186,11 @@ class TestFallbacks:
     def test_zero_fault_plan_stays_batched_and_identical(self):
         """An attached all-zero plan installs no seams, so batching
         stays live and the run matches the per-event one."""
-        off = _lock_machine(False)
+        off = _lock_machine(per_event=True)
         FaultInjector(FaultPlan()).attach(off)
         hist_off = _run_lock(off)
 
-        on = _lock_machine(True)
+        on = _lock_machine()
         FaultInjector(FaultPlan()).attach(on)
         hist_on = _run_lock(on)
         assert hist_on == hist_off
