@@ -2,25 +2,28 @@
 
 Stdlib-only (``http.server``): the serving layer must run in the bare
 container the simulator runs in.  A :class:`ServiceApp` owns the
-scheduler + sharded cache; :func:`make_server` binds it to a
-``ThreadingHTTPServer`` so every request handler thread can block on a
-job without stalling the listener.
+scheduler and its substrate — a backend plus the sharded cache for a
+daemon or fleet worker, the fleet client for a coordinator;
+:func:`make_server` binds it to a ``ThreadingHTTPServer`` so every
+request handler thread can block on a job without stalling the
+listener.
 
 Endpoints::
 
-    GET  /healthz            liveness + uptime
-    GET  /v1/stats           cache + scheduler counters
+    GET  /healthz            liveness + uptime (+ cache or fleet)
+    GET  /v1/stats           scheduler counters (+ cache or fleet)
     GET  /v1/experiments     served job kinds and their defaults
     POST /v1/jobs            submit {"kind": ..., "params": {...}}
                              (+"wait": true to block for the result,
-                              +"obs": true for capture summaries)
+                              +"obs": true for capture summaries,
+                              +"tenant": name for quota/fair share)
     GET  /v1/jobs/<id>       job status / result
 
 Overload surfaces as ``429`` with a ``Retry-After`` header (seconds);
 oversized jobs as ``413``; malformed requests as ``400`` — all with a
 JSON body carrying ``error``.  Every job response embeds the cache
-hit/miss/corrupt deltas for that execution, which is what the CI smoke
-check asserts its ≥95%-hits-on-resubmit property against.
+hits and misses of that execution's own points, which is what the CI
+smoke check asserts its ≥95%-hits-on-resubmit property against.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from repro.service.backends import make_backend
+from repro.service.backends import Backend, make_backend
 from repro.service.cache2 import ShardedResultCache
 from repro.service.jobs import JobSpec, ServiceError, describe_catalog
+from repro.service.quotas import DEFAULT_TENANT, TenantPolicy
 from repro.service.scheduler import RejectedError, Scheduler
 
 __all__ = ["ServiceApp", "make_server", "version_info", "drain_retry_after",
@@ -46,6 +50,12 @@ MAX_WAIT_SECONDS = 600.0
 #: Largest body the public ``POST /v1/jobs`` reads; a job spec is a few
 #: hundred bytes of JSON, so a longer announced body gets 413 unread.
 MAX_JOB_BODY_BYTES = 1 << 20
+
+#: Seconds a connection may sit in one socket read or write before it
+#: is closed.  Far above any gap between a live client's requests, so
+#: idle persistent connections stay up, but a client that announces a
+#: body and then trickles it cannot pin a handler thread.
+SOCKET_TIMEOUT_SECONDS = 120.0
 
 #: Drain budget assumed when shutdown starts without an explicit one
 #: (matches the ``--drain-deadline`` CLI default).
@@ -87,27 +97,41 @@ def version_info() -> dict[str, str]:
 
 
 class ServiceApp:
-    """Scheduler + cache + catalog behind one handler-friendly facade."""
+    """Scheduler + substrate + catalog behind one handler-friendly facade.
+
+    A daemon or fleet worker passes ``cache_dir`` and a ``backend``
+    spec: points resolve against its own shard cache and misses run on
+    the backend.  A fleet coordinator passes its
+    :class:`~repro.service.fleet.coordinator.FleetClient` as the
+    ``backend`` and no cache: every point routes to the worker shards.
+    """
 
     def __init__(
         self,
-        cache_dir: str,
+        cache_dir: str | None = None,
         *,
-        backend: str = "process:2",
+        backend: str | Backend = "process:2",
         cap_bytes: int | None = None,
         workers: int = 2,
         queue_cap: int = 8,
         max_points: int = 512,
         max_batch: int = 64,
+        policies: dict[str, TenantPolicy] | None = None,
+        default_policy: TenantPolicy | None = None,
     ):
-        self.cache = ShardedResultCache(cache_dir, cap_bytes=cap_bytes)
+        self.cache = (
+            None if cache_dir is None
+            else ShardedResultCache(cache_dir, cap_bytes=cap_bytes)
+        )
         self.scheduler = Scheduler(
-            make_backend(backend),
+            make_backend(backend) if isinstance(backend, str) else backend,
             self.cache,
             workers=workers,
             queue_cap=queue_cap,
             max_points=max_points,
             max_batch=max_batch,
+            policies=policies,
+            default_policy=default_policy,
         )
         self.started_at = time.time()
         self._closing = threading.Event()
@@ -136,18 +160,26 @@ class ServiceApp:
         """Graceful shutdown: stop admitting, drain, flush, release.
 
         Admission is cut first (503), accepted jobs get up to
-        ``drain_deadline`` seconds to settle, the cache's manifest
-        journal is compacted to one line per live entry, and the
-        backend is released.  Returns the number of jobs stranded by
+        ``drain_deadline`` seconds to settle, the backend is released
+        and the cache's manifest journal (if any) is compacted to one
+        line per live entry.  Returns the number of jobs stranded by
         the deadline (0 on a clean exit).
         """
         self.begin_shutdown(drain_deadline)
         stranded = self.scheduler.close(deadline=drain_deadline)
-        try:
-            self.cache.compact_manifest()
-        except OSError:  # pragma: no cover - advisory index only
-            pass
+        if self.cache is not None:
+            try:
+                self.cache.compact_manifest()
+            except OSError:  # pragma: no cover - advisory index only
+                pass
         return stranded
+
+    def _substrate_status(self, brief: bool) -> dict[str, Any]:
+        """Status entries that differ by substrate: cache or fleet."""
+        doc = self.scheduler.backend.status(brief)
+        if self.cache is not None:
+            doc["cache"] = self.cache.stats()
+        return doc
 
     # -- request handling (pure: dict in, (status, doc, headers) out) --
 
@@ -157,14 +189,14 @@ class ServiceApp:
             return 200, {
                 "status": "draining" if self.closing else "ok",
                 "uptime_s": round(time.time() - self.started_at, 3),
-                "cache": self.cache.stats(),
                 "version": version_info(),
+                **self._substrate_status(brief=True),
             }
         if path == "/v1/stats":
             return 200, {
-                "cache": self.cache.stats(),
                 "scheduler": self.scheduler.stats(),
                 "version": version_info(),
+                **self._substrate_status(brief=False),
             }
         if path == "/v1/experiments":
             return 200, describe_catalog()
@@ -181,10 +213,10 @@ class ServiceApp:
         """Admit one POSTed job ``body``; ``(status, doc, extra_headers)``.
 
         202 queued, 200 done (``wait: true``), 4xx on bad/oversized/
-        rejected submissions — 429 carries a ``Retry-After`` header.
-        A draining server answers 503: the client should resubmit to a
-        live replica (or wait out the restart), not queue behind a
-        deadline-bounded drain.
+        rejected submissions — 429 (queue full or tenant over quota)
+        carries a ``Retry-After`` header.  A draining server answers
+        503: the client should resubmit to a live replica (or wait out
+        the restart), not queue behind a deadline-bounded drain.
         """
         if self.closing:
             return (
@@ -192,9 +224,12 @@ class ServiceApp:
                 {"error": "server is draining; resubmit elsewhere"},
                 {"Retry-After": str(self.drain_retry_after())},
             )
+        tenant = body.get("tenant", DEFAULT_TENANT)
+        if not isinstance(tenant, str) or not tenant:
+            return 400, {"error": "'tenant' must be a non-empty string"}, {}
         try:
             spec = JobSpec.from_request(body)
-            job = self.scheduler.submit(spec)
+            job = self.scheduler.submit(spec, tenant)
         except RejectedError as exc:
             return (
                 exc.status,
@@ -217,6 +252,7 @@ class _Handler(BaseHTTPRequestHandler):
     app: ServiceApp  # set by make_server on the subclass
     verbose = False
     protocol_version = "HTTP/1.1"
+    timeout = SOCKET_TIMEOUT_SECONDS
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if self.verbose:  # pragma: no cover - log formatting only

@@ -13,14 +13,15 @@ identical values and the scheduler can treat them interchangeably:
   :class:`~repro.experiments.sweep.SweepRunner`, workers here survive
   across requests, so a server amortises interpreter/import start-up
   over its whole lifetime.
-* Anything registered via :func:`register_backend` — the seam a
-  remote/cluster backend lands in later without touching scheduler
-  code.
+* :class:`~repro.service.fleet.coordinator.FleetClient` — the worker
+  fleet: points route to the shards that own them, which serve them
+  from cache or compute them.
 
 :class:`BackendSweepRunner` adapts a backend to the ``SweepRunner``
-interface (same cache semantics, same result order) and additionally
-harvests :class:`~repro.obs.ObsCapture` values from point results so
-service responses can carry observability summaries.
+interface (same cache semantics, same result order), harvests
+:class:`~repro.obs.ObsCapture` values from point results so service
+responses can carry observability summaries, and tallies how its own
+points were served, so a job's accounting never mixes in another's.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "ProcessPoolBackend",
     "harvest_captures",
     "make_backend",
-    "register_backend",
 ]
 
 
@@ -51,12 +51,27 @@ class Backend(Protocol):
         """Return ``func(**call)`` for every call, aligned with ``calls``."""
         ...
 
+    def map_counted(
+        self, func: Callable[..., Any], calls: Sequence[dict[str, Any]]
+    ) -> tuple[list[Any], dict[str, int]]:
+        """``map`` plus how its points were served.
+
+        A backend that computes everything reports them all as
+        ``misses``; one that serves points from caches of its own (the
+        fleet) splits them into ``hits`` and ``misses``.
+        """
+        return self.map(func, calls), {"misses": len(calls)}
+
+    def status(self, brief: bool) -> dict[str, Any]:
+        """Backend-specific status surface entries (``brief``: /healthz)."""
+        return {}
+
     def close(self) -> None:
         """Release workers (idempotent)."""
         ...
 
 
-class InlineBackend:
+class InlineBackend(Backend):
     """Serial, in-process execution."""
 
     name = "inline"
@@ -69,7 +84,7 @@ class InlineBackend:
         """Nothing to release."""
 
 
-class ProcessPoolBackend:
+class ProcessPoolBackend(Backend):
     """A persistent worker pool shared by every batch the server runs."""
 
     def __init__(self, jobs: int = 2):
@@ -99,26 +114,14 @@ class ProcessPoolBackend:
             self._pool = None
 
 
-_REGISTRY: dict[str, Callable[[int], Backend]] = {
-    "inline": lambda jobs: InlineBackend(),
-    "process": lambda jobs: ProcessPoolBackend(jobs),
-}
-
-
-def register_backend(name: str, factory: Callable[[int], "Backend"]) -> None:
-    """Register ``name`` (for ``--backend name[:jobs]``) -> factory(jobs)."""
-    _REGISTRY[name] = factory
-
-
 def make_backend(spec: str) -> Backend:
-    """Build a backend from a ``name`` or ``name:jobs`` spec string."""
+    """Build a backend from an ``inline`` or ``process[:jobs]`` spec string."""
     name, _, arg = spec.partition(":")
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown backend {name!r} (known: {', '.join(sorted(_REGISTRY))})"
-        )
-    jobs = int(arg) if arg else 2
-    return _REGISTRY[name](jobs)
+    if name == "inline":
+        return InlineBackend()
+    if name == "process":
+        return ProcessPoolBackend(int(arg) if arg else 2)
+    raise ValueError(f"unknown backend {name!r} (known: inline, process)")
 
 
 def harvest_captures(values: Sequence[Any]) -> list[ObsCapture]:
@@ -149,6 +152,11 @@ class BackendSweepRunner(SweepRunner):
     included) into :attr:`captures` — experiment assemblers consume the
     point values, so this is the one place the serving layer can still
     see them for response summaries.
+
+    :attr:`tally` counts this runner's points only: ``hits`` served by
+    its cache or the backend's, ``misses`` computed, plus any finer
+    counts the backend reports.  Concurrent jobs on a shared cache each
+    see exactly their own points.
     """
 
     def __init__(
@@ -164,10 +172,15 @@ class BackendSweepRunner(SweepRunner):
         self.backend = backend
         self.max_batch = max_batch
         self.captures: list[ObsCapture] = []
+        self.tally: dict[str, int] = {"hits": 0, "misses": 0}
+        self._executed = 0
 
     def map(self, func, calls, *, on_result=None):  # type: ignore[override]
-        """SweepRunner.map plus ObsCapture harvesting into ``captures``."""
+        """SweepRunner.map plus capture harvesting and cache-hit counting."""
+        calls = list(calls)
+        executed = self._executed
         results = super().map(func, calls, on_result=on_result)
+        self.tally["hits"] += len(calls) - (self._executed - executed)
         self.captures.extend(harvest_captures(results))
         return results
 
@@ -176,5 +189,9 @@ class BackendSweepRunner(SweepRunner):
 
         results: list[Any] = []
         for batch in split_batches(list(calls), self.max_batch):
-            results.extend(self.backend.map(func, batch))
+            values, counts = self.backend.map_counted(func, batch)
+            results.extend(values)
+            for name, count in counts.items():
+                self.tally[name] = self.tally.get(name, 0) + count
+        self._executed += len(calls)
         return results

@@ -616,11 +616,8 @@ def run_worker(args) -> int:
 
 def run_coordinator(args) -> int:
     """``ksr-serve --coordinator``: the fleet front door, starting empty."""
-    from repro.service.fleet import (
-        CoordinatorApp,
-        FleetClient,
-        make_coordinator_server,
-    )
+    from repro.service.app import ServiceApp
+    from repro.service.fleet import FleetClient, make_coordinator_server
 
     auth = _fleet_auth(args)
     client = FleetClient(
@@ -628,12 +625,14 @@ def run_coordinator(args) -> int:
         dead_interval=args.dead_interval,
         auth=auth,
     )
-    coordinator = CoordinatorApp(
-        client,
-        exec_workers=max(args.workers, 4),
+    coordinator = ServiceApp(
+        backend=client,
+        workers=max(args.workers, 4),
         queue_cap=args.queue_cap,
         max_points=args.max_points,
+        max_batch=args.max_batch,
     )
+    client.start_heartbeat(2.0)
     server = make_coordinator_server(
         coordinator, args.host, args.port, verbose=args.verbose
     )
@@ -676,12 +675,7 @@ def run_multihost_smoke(args) -> int:
     import tempfile
 
     from repro.service.app import ServiceApp, make_server
-    from repro.service.fleet import (
-        CoordinatorApp,
-        FleetAuth,
-        FleetClient,
-        make_coordinator_server,
-    )
+    from repro.service.fleet import FleetAuth, FleetClient, make_coordinator_server
     from repro.service.fleet.wire import FLEET_TOKEN_ENV
 
     n_workers = args.multihost_workers
@@ -718,13 +712,13 @@ def run_multihost_smoke(args) -> int:
             health_timeout=2.0,
             auth=FleetAuth(token),
         )
-        coordinator = CoordinatorApp(
-            client,
-            exec_workers=4,
+        coordinator = ServiceApp(
+            backend=client,
+            workers=4,
             queue_cap=args.queue_cap,
             max_points=args.max_points,
-            heartbeat_interval=0.5,
         )
+        client.start_heartbeat(0.5)
         coord_server = make_coordinator_server(coordinator, "127.0.0.1", 0)
         coord_thread = threading.Thread(
             target=coord_server.serve_forever, daemon=True

@@ -9,12 +9,13 @@ workers look like one coherent resource:
   nodes) mapping each ``point_key`` to its owning worker.
 * :mod:`~repro.service.fleet.wire` — the fleet wire protocol (JSON
   control plane, pickled data plane, allowlisted function identity).
-* :mod:`~repro.service.fleet.quotas` — per-tenant token buckets and
-  stride-scheduled weighted fair share.
 * :mod:`~repro.service.fleet.worker` — a ``ServiceApp`` owning one
   cache shard, with cross-worker read-through and async replication.
-* :mod:`~repro.service.fleet.coordinator` — admission, routing,
-  heartbeat/health, key-range handoff on worker death.
+* :mod:`~repro.service.fleet.coordinator` — the :class:`FleetClient`
+  backend (routing, heartbeat/health, key-range handoff on worker
+  death, re-replication) and the coordinator's control-plane routes.
+  A coordinator is a plain ``ServiceApp`` on that backend: admission,
+  tenancy and job execution are the single daemon's, not a copy.
 * :mod:`~repro.service.fleet.local` — a one-process fleet harness on
   real loopback sockets (tests, ``--fleet``, smoke, loadgen).
 * :mod:`~repro.service.fleet.loadgen` — the closed-loop multi-process
@@ -28,21 +29,13 @@ federated campaign is byte-identical to a single-daemon run.
 """
 
 from repro.service.fleet.coordinator import (
-    CoordinatorApp,
     FleetClient,
-    FleetScheduler,
-    FleetSweepRunner,
     WorkerHandle,
     make_coordinator_server,
 )
 from repro.service.fleet.loadgen import run_loadgen
 from repro.service.fleet.local import LocalFleet
-from repro.service.fleet.quotas import (
-    DEFAULT_TENANT,
-    FairShareQueue,
-    TenantPolicy,
-    TokenBucket,
-)
+from repro.service.quotas import TenantPolicy
 from repro.service.fleet.ring import HashRing
 from repro.service.fleet.wire import FleetAuth, WireError
 from repro.service.fleet.worker import (
@@ -52,19 +45,13 @@ from repro.service.fleet.worker import (
 )
 
 __all__ = [
-    "CoordinatorApp",
-    "DEFAULT_TENANT",
-    "FairShareQueue",
     "FleetAuth",
     "FleetClient",
-    "FleetScheduler",
-    "FleetSweepRunner",
     "FleetWorkerApp",
     "HashRing",
     "LocalFleet",
     "Registrar",
     "TenantPolicy",
-    "TokenBucket",
     "WireError",
     "WorkerHandle",
     "make_coordinator_server",

@@ -1,8 +1,11 @@
-"""Fleet coordinator: admission, routing, health, handoff.
+"""Fleet coordinator: routing, health, handoff.
 
-The coordinator is the fleet's single public face.  It keeps the
-single-daemon API contract — same endpoints, same 400/413/429 pricing,
-same byte-identical payloads — and adds the fleet concerns on top:
+The coordinator is the fleet's single public face: the same
+:class:`~repro.service.app.ServiceApp` and scheduler a single daemon
+runs, with a :class:`FleetClient` as its backend and no cache of its
+own.  Admission (413/429 pricing, tenant quotas, fair share,
+coalescing) and payloads are therefore the daemon's by construction;
+this module adds the fleet concerns underneath and beside them:
 
 * **Routing** — each job's sweep points are partitioned by the
   consistent-hash ring over their ``point_key`` and posted to the
@@ -15,44 +18,27 @@ same byte-identical payloads — and adds the fleet concerns on top:
   from the ring and its in-flight batches are re-partitioned among the
   survivors.  No job is lost to a worker death — its points are simply
   recomputed (or read through from replicas) at their new owners.
-* **Multi-tenant admission** — on top of the shared 413 pricing and
-  :class:`~repro.service.batching.JobTable` coalescing, each tenant
-  passes a token-bucket quota (429 with the exact token wait as
-  ``Retry-After``) and admitted jobs drain in weighted fair-share
-  order (:class:`~repro.service.fleet.quotas.FairShareQueue`).
+* **Control plane** — :func:`make_coordinator_server` adds the
+  token-gated ``/v1/fleet/*`` routes: worker registration, membership
+  and the replication census.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.experiments.sweep import SweepRunner, point_key
-from repro.obs.summary import capture_summary
-from repro.service.app import (
-    DEFAULT_DRAIN_DEADLINE,
-    drain_retry_after,
-    version_info,
-)
-from repro.service.backends import harvest_captures
-from repro.service.batching import JobTable, estimate_points
+from repro.experiments.sweep import point_key
+from repro.service.app import ServiceApp, _Handler, _ServiceHTTPServer, version_info
+from repro.service.backends import Backend
 from repro.service.fleet import wire
-from repro.service.fleet.quotas import (
-    DEFAULT_TENANT,
-    FairShareQueue,
-    TenantPolicy,
-    TokenBucket,
-)
 from repro.service.fleet.ring import DEFAULT_VNODES, HashRing
-from repro.service.jobs import JobSpec, ServiceError, describe_catalog
-from repro.service.scheduler import Job, RejectedError
+from repro.service.jobs import ServiceError
 
-__all__ = ["WorkerHandle", "FleetClient", "FleetSweepRunner", "FleetScheduler",
-           "CoordinatorApp", "make_coordinator_server"]
+__all__ = ["WorkerHandle", "FleetClient", "make_coordinator_server"]
 
 
 @dataclass
@@ -95,8 +81,12 @@ class WorkerHandle:
         }
 
 
-class FleetClient:
+class FleetClient(Backend):
     """Routes point batches to workers; owns ring membership + health.
+
+    As a :class:`~repro.service.backends.Backend` it is the substrate a
+    coordinator's scheduler runs jobs on: :meth:`map_counted` reports
+    how the worker shards served each batch.
 
     Membership is dynamic: the fleet may start empty (a multi-host
     coordinator waiting for ``--worker --join`` daemons to register)
@@ -130,6 +120,7 @@ class FleetClient:
         self.max_failures = max_failures
         self.dead_interval = dead_interval
         self.auth = auth or wire.FleetAuth(None)
+        self.name = "fleet"
         self.workers = {
             wid: WorkerHandle(worker_id=wid, base_url=url.rstrip("/"))
             for wid, url in (workers or {}).items()
@@ -346,7 +337,7 @@ class FleetClient:
         self._heartbeat_thread.start()
 
     def close(self) -> None:
-        """Stop the heartbeat thread (idempotent)."""
+        """Stop the heartbeat thread (idempotent; the Backend release)."""
         self._stop.set()
         if self._heartbeat_thread is not None:
             self._heartbeat_thread.join(timeout=5)
@@ -392,14 +383,20 @@ class FleetClient:
             return None  # truncated answer: treat like a dead worker
         return doc
 
-    def map_points(
+    def map(self, func: Callable[..., Any], calls: Sequence[dict[str, Any]]) -> list[Any]:
+        """Route every call to its owner; values only."""
+        return self.map_counted(func, calls)[0]
+
+    def map_counted(
         self, func: Callable[..., Any], calls: Sequence[dict[str, Any]]
     ) -> tuple[list[Any], dict[str, int]]:
         """Route every call to its owner; survive worker deaths mid-map.
 
         Unanswered batches are re-partitioned over the surviving ring
         until every call has a value — the key-range handoff path.  The
-        per-map stats dict reports how the points were served.
+        counts report how the points were served: ``hits`` from a
+        shard (its own or, by read-through, a replica's), ``misses``
+        computed fresh, plus that split's fleet detail.
         """
         calls = list(calls)
         func_id = f"{func.__module__}.{func.__qualname__}"
@@ -450,7 +447,9 @@ class FleetClient:
         self.routed_points += len(calls)
         for name, value in stats.items():
             self.stats_totals[name] += value if name != "points" else len(calls)
-        return results, stats
+        counts = {"hits": stats["local_hits"] + stats["remote_hits"],
+                  "misses": stats["computed"], **stats}
+        return results, counts
 
     # -- re-replication ------------------------------------------------
 
@@ -561,6 +560,18 @@ class FleetClient:
 
     # -- status --------------------------------------------------------
 
+    def status(self, brief: bool) -> dict[str, Any]:
+        """The coordinator's status entries (``brief``: /healthz)."""
+        fleet = self.stats()
+        if not brief:
+            return {"fleet": fleet}
+        return {
+            "role": "coordinator",
+            "fleet": {"alive": fleet["alive"],
+                      "workers": len(fleet["workers"]),
+                      "handoffs": fleet["handoffs"]},
+        }
+
     def stats(self) -> dict[str, Any]:
         """Membership, routing and served-point counters."""
         with self._lock:
@@ -583,470 +594,82 @@ class FleetClient:
             }
 
 
-class FleetSweepRunner(SweepRunner):
-    """A :class:`SweepRunner` whose execute seam is the worker fleet.
+def _register(client: FleetClient, body: dict[str, Any]) -> tuple[int, dict[str, Any]]:
+    """Admit one ``POST /v1/fleet/register`` body; ``(status, doc)``.
 
-    The coordinator holds no point cache of its own — every cache shard
-    lives with its owning worker — so *all* calls flow to ``_execute``
-    and the per-point served/computed accounting comes back in the map
-    responses.  Captures are harvested exactly like the single-daemon
-    :class:`~repro.service.backends.BackendSweepRunner`.
+    The worker side of the multi-host join handshake.  Validation
+    errors are the caller's fault (400); a version mismatch is a 409
+    (re-registering won't help until one side redeploys).
     """
-
-    def __init__(self, client: FleetClient):
-        super().__init__(jobs=1, cache=None)
-        self.client = client
-        self.captures: list[Any] = []
-        self.fleet_stats = {"points": 0, "local_hits": 0, "remote_hits": 0,
-                            "computed": 0}
-
-    def map(self, func, calls, *, on_result=None):  # type: ignore[override]
-        """Fan one sweep out over the fleet, harvesting obs captures."""
-        results = super().map(func, calls, on_result=on_result)
-        self.captures.extend(harvest_captures(results))
-        return results
-
-    def _execute(self, func: Callable[..., Any], calls: Sequence[dict[str, Any]]) -> list[Any]:
-        values, stats = self.client.map_points(func, calls)
-        for name in self.fleet_stats:
-            self.fleet_stats[name] += stats.get(name, 0)
-        return values
-
-
-class FleetScheduler:
-    """Multi-tenant, fair-share job executor over a worker fleet.
-
-    Shares the single-daemon scheduler's contract (submit → Job,
-    bounded accepted-set, 413 pricing, coalescing, retry-after hints)
-    but admits per tenant and dequeues by weighted fair share.
-    """
-
-    def __init__(
-        self,
-        client: FleetClient,
-        *,
-        exec_workers: int = 4,
-        queue_cap: int = 32,
-        max_points: int = 512,
-        policies: dict[str, TenantPolicy] | None = None,
-        default_policy: TenantPolicy | None = None,
-    ):
-        if exec_workers < 1:
-            raise ValueError(f"exec_workers must be >= 1, got {exec_workers}")
-        if queue_cap < 1:
-            raise ValueError(f"queue_cap must be >= 1, got {queue_cap}")
-        self.client = client
-        self.queue_cap = queue_cap
-        self.max_points = max_points
-        self.policies = dict(policies or {})
-        self.default_policy = default_policy or TenantPolicy()
-        self._buckets: dict[str, TokenBucket] = {}
-        self._fair = FairShareQueue(self.policy_for)
-        self._table = JobTable()
-        self._jobs: dict[str, Job] = {}
-        self._ids = itertools.count(1)
-        self._lock = threading.Lock()
-        self._queued = 0
-        self._recent_seconds: list[float] = []
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.rejected = 0
-        self.rejected_quota = 0
-        self.stranded = 0
-        self._closing = False
-        self._tenants: dict[str, dict[str, int]] = {}
-        self._workers = [
-            threading.Thread(target=self._worker, name=f"fleet-exec-{i}", daemon=True)
-            for i in range(exec_workers)
-        ]
-        for thread in self._workers:
-            thread.start()
-
-    # -- tenancy -------------------------------------------------------
-
-    def policy_for(self, tenant: str) -> TenantPolicy:
-        """The admission policy governing ``tenant``."""
-        return self.policies.get(tenant, self.default_policy)
-
-    def _bucket_for(self, tenant: str) -> TokenBucket | None:
-        policy = self.policy_for(tenant)
-        if policy.rate is None:
-            return None
-        bucket = self._buckets.get(tenant)
-        if bucket is None:
-            bucket = self._buckets[tenant] = TokenBucket(policy.rate, policy.burst)
-        return bucket
-
-    def _tenant_counters(self, tenant: str) -> dict[str, int]:
-        counters = self._tenants.get(tenant)
-        if counters is None:
-            counters = self._tenants[tenant] = {
-                "submitted": 0, "completed": 0, "failed": 0,
-                "rejected_quota": 0, "rejected_queue": 0, "coalesced": 0,
-            }
-        return counters
-
-    # -- submission ----------------------------------------------------
-
-    def _retry_after_locked(self) -> float:
-        recent = self._recent_seconds
-        per_job = (sum(recent) / len(recent)) if recent else 1.0
-        return max(1.0, round(self._queued * per_job / len(self._workers), 1))
-
-    def retry_after(self) -> float:
-        """Public (locking) form of the back-off hint."""
-        with self._lock:
-            return self._retry_after_locked()
-
-    def submit(self, spec: JobSpec, tenant: str = DEFAULT_TENANT) -> Job:
-        """Admit, coalesce or reject one spec for ``tenant``."""
-        points = estimate_points(spec)
-        if points > self.max_points:
-            raise ServiceError(
-                f"job would fan out {points} sweep points, over this "
-                f"fleet's per-job bound of {self.max_points}; split the "
-                f"request",
-                status=413,
-            )
-        with self._lock:
-            if self._closing:
-                raise ServiceError("fleet scheduler is draining", status=503)
-            counters = self._tenant_counters(tenant)
-            self.submitted += 1
-            counters["submitted"] += 1
-            bucket = self._bucket_for(tenant)
-            if bucket is not None:
-                ok, wait = bucket.try_take()
-                if not ok:
-                    self.rejected_quota += 1
-                    counters["rejected_quota"] += 1
-                    raise RejectedError(
-                        f"tenant {tenant!r} is over its admission quota; "
-                        f"retry later",
-                        retry_after=max(wait, 0.1),
-                    )
-            job = Job(
-                job_id=f"job-{next(self._ids)}",
-                spec=spec,
-                tenant=tenant,
-                submitted_at=time.time(),
-            )
-            existing = self._table.claim(spec.canonical(), job)
-            if existing is not None:
-                counters["coalesced"] += 1
-                return existing
-            if self._queued >= self.queue_cap:
-                self.rejected += 1
-                counters["rejected_queue"] += 1
-                self._table.release(spec.canonical())
-                raise RejectedError(
-                    f"fleet queue full ({self.queue_cap} jobs); retry later",
-                    retry_after=self._retry_after_locked(),
-                )
-            self._queued += 1
-            self._jobs[job.job_id] = job
-        self._fair.push(tenant, job)
-        return job
-
-    def get(self, job_id: str) -> Job | None:
-        """Look up an accepted job by id (None if unknown)."""
-        with self._lock:
-            return self._jobs.get(job_id)
-
-    # -- execution -----------------------------------------------------
-
-    def _worker(self) -> None:
-        while True:
-            item = self._fair.pop()
-            if item is None:
-                return
-            _, job = item
-            self._run_job(job)
-
-    def _run_job(self, job: Job) -> None:
-        job.status = "running"
-        job.started_at = time.time()
-        runner = FleetSweepRunner(self.client)
-        try:
-            payload = job.spec.execute(runner)
-        except ServiceError as exc:
-            job.status = "failed"
-            job.error = str(exc)
-        except Exception as exc:  # noqa: BLE001 - a job must never kill a worker
-            job.status = "failed"
-            job.error = f"{type(exc).__name__}: {exc}"
-        else:
-            served = runner.fleet_stats
-            job.payload = payload
-            job.cache = {
-                # Same shape the single daemon reports: "hits" is every
-                # cache-served point (own shard or replica), "misses"
-                # is every freshly computed one — what the >=95%
-                # resubmit assertion divides.
-                "hits": served["local_hits"] + served["remote_hits"],
-                "misses": served["computed"],
-                "local_hits": served["local_hits"],
-                "remote_hits": served["remote_hits"],
-                "computed": served["computed"],
-                "points": served["points"],
-                "fleet": True,
-            }
-            job.obs = [capture_summary(c) for c in runner.captures]
-            job.status = "done"
-        finally:
-            job.finished_at = time.time()
-            with self._lock:
-                self._queued -= 1
-                counters = self._tenant_counters(job.tenant)
-                if job.status == "done":
-                    self.completed += 1
-                    counters["completed"] += 1
-                else:
-                    self.failed += 1
-                    counters["failed"] += 1
-                self._recent_seconds.append(job.finished_at - job.started_at)
-                del self._recent_seconds[:-20]
-            self._table.release(job.spec.canonical())
-            job._done.set()
-
-    # -- lifecycle / stats ---------------------------------------------
-
-    def stats(self) -> dict[str, Any]:
-        """Scheduler counters, overall and per tenant."""
-        with self._lock:
-            return {
-                "workers": len(self._workers),
-                "queue_cap": self.queue_cap,
-                "queued": self._queued,
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "failed": self.failed,
-                "rejected": self.rejected,
-                "rejected_quota": self.rejected_quota,
-                "stranded": self.stranded,
-                "coalesced": self._table.coalesced,
-                "max_points": self.max_points,
-                "backend": "fleet",
-                "tenants": {t: dict(c) for t, c in sorted(self._tenants.items())},
-            }
-
-    def drain(self, deadline: float = 30.0) -> int:
-        """Wait (bounded) for the accepted set to empty; returns leftovers."""
-        end = time.monotonic() + max(0.0, deadline)
-        while time.monotonic() < end:
-            with self._lock:
-                if self._queued == 0:
-                    return 0
-            time.sleep(0.02)
-        with self._lock:
-            return self._queued
-
-    def close(self, deadline: float = 30.0) -> int:
-        """Bounded-deadline drain, mirroring ``Scheduler.close``."""
-        with self._lock:
-            already_closing = self._closing
-            self._closing = True
-        if not already_closing:
-            self.drain(deadline)
-            self._fair.close()
-        end = time.monotonic() + max(1.0, deadline / 2)
-        for thread in self._workers:
-            thread.join(timeout=max(0.0, end - time.monotonic()))
-        with self._lock:
-            stranded = self._queued
-            self.stranded = stranded
-        return stranded
-
-
-class CoordinatorApp:
-    """The coordinator's HTTP facade (duck-typed like ``ServiceApp``).
-
-    ``make_server`` from :mod:`repro.service.app` binds it unchanged —
-    the handler only needs ``handle_get`` and ``handle_submit``.
-    """
-
-    def __init__(
-        self,
-        client: FleetClient,
-        *,
-        exec_workers: int = 4,
-        queue_cap: int = 32,
-        max_points: int = 512,
-        policies: dict[str, TenantPolicy] | None = None,
-        default_policy: TenantPolicy | None = None,
-        heartbeat_interval: float | None = 2.0,
-    ):
-        self.client = client
-        self.scheduler = FleetScheduler(
-            client,
-            exec_workers=exec_workers,
-            queue_cap=queue_cap,
-            max_points=max_points,
-            policies=policies,
-            default_policy=default_policy,
+    worker_id = body.get("worker_id")
+    base_url = body.get("base_url")
+    if not isinstance(worker_id, str) or not worker_id:
+        return 400, {"error": "'worker_id' must be a non-empty string"}
+    if not isinstance(base_url, str) or not base_url.startswith(("http://", "https://")):
+        return 400, {"error": "'base_url' must be an http(s) URL"}
+    version = body.get("version") or {}
+    if not isinstance(version, dict):
+        return 400, {"error": "'version' must be an object"}
+    fingerprint = body.get("fingerprint", "")
+    if not isinstance(fingerprint, str):
+        return 400, {"error": "'fingerprint' must be a string"}
+    try:
+        doc = client.register_worker(
+            worker_id, base_url, version=version, fingerprint=fingerprint
         )
-        self.started_at = time.time()
-        self._closing = threading.Event()
-        self._drain_ends_at: float | None = None
-        if heartbeat_interval:
-            client.start_heartbeat(heartbeat_interval)
-
-    @property
-    def closing(self) -> bool:
-        return self._closing.is_set()
-
-    def begin_shutdown(
-        self, drain_deadline: float = DEFAULT_DRAIN_DEADLINE
-    ) -> None:
-        """Flip to draining: new submissions get 503 from now on."""
-        if not self._closing.is_set():
-            self._drain_ends_at = time.monotonic() + max(0.0, drain_deadline)
-        self._closing.set()
-
-    def drain_retry_after(self) -> int:
-        """Seconds a 503'd client should wait before resubmitting."""
-        return drain_retry_after(self._drain_ends_at)
-
-    def close(self, *, drain_deadline: float = 30.0) -> int:
-        """Stop admitting, drain accepted jobs, stop the heartbeat."""
-        self.begin_shutdown(drain_deadline)
-        stranded = self.scheduler.close(deadline=drain_deadline)
-        self.client.close()
-        return stranded
-
-    # -- request handling ----------------------------------------------
-
-    def handle_get(self, path: str) -> tuple[int, dict[str, Any]]:
-        """Route one GET; returns ``(status, json_doc)``."""
-        if path == "/healthz":
-            fleet = self.client.stats()
-            return 200, {
-                "status": "draining" if self.closing else "ok",
-                "role": "coordinator",
-                "uptime_s": round(time.time() - self.started_at, 3),
-                "version": version_info(),
-                "fleet": {"alive": fleet["alive"],
-                          "workers": len(fleet["workers"]),
-                          "handoffs": fleet["handoffs"]},
-            }
-        if path == "/v1/stats":
-            return 200, {
-                "scheduler": self.scheduler.stats(),
-                "fleet": self.client.stats(),
-                "version": version_info(),
-            }
-        if path == "/v1/fleet/workers":
-            return 200, self.client.stats()
-        if path == "/v1/fleet/replication":
-            return 200, self.client.replication_report()
-        if path == "/v1/experiments":
-            return 200, describe_catalog()
-        if path.startswith("/v1/jobs/"):
-            job = self.scheduler.get(path.removeprefix("/v1/jobs/"))
-            if job is None:
-                return 404, {"error": "no such job"}
-            return 200, job.describe()
-        return 404, {"error": f"no such endpoint {path!r}"}
-
-    def handle_register(self, body: dict[str, Any]) -> tuple[int, dict[str, Any]]:
-        """Admit one ``POST /v1/fleet/register`` body; ``(status, doc)``.
-
-        The worker side of the multi-host join handshake.  Validation
-        errors are the caller's fault (400); a version mismatch is a
-        409 (re-registering won't help until one side redeploys).
-        """
-        worker_id = body.get("worker_id")
-        base_url = body.get("base_url")
-        if not isinstance(worker_id, str) or not worker_id:
-            return 400, {"error": "'worker_id' must be a non-empty string"}
-        if not isinstance(base_url, str) or not base_url.startswith(("http://", "https://")):
-            return 400, {"error": "'base_url' must be an http(s) URL"}
-        version = body.get("version") or {}
-        if not isinstance(version, dict):
-            return 400, {"error": "'version' must be an object"}
-        fingerprint = body.get("fingerprint", "")
-        if not isinstance(fingerprint, str):
-            return 400, {"error": "'fingerprint' must be a string"}
-        try:
-            doc = self.client.register_worker(
-                worker_id, base_url, version=version, fingerprint=fingerprint
-            )
-        except ServiceError as exc:
-            return exc.status, {"error": str(exc)}
-        return 200, doc
-
-    def handle_submit(
-        self, body: dict[str, Any]
-    ) -> tuple[int, dict[str, Any], dict[str, str]]:
-        """Admit one job submission; ``(status, doc, extra_headers)``."""
-        from repro.service.app import MAX_WAIT_SECONDS
-
-        if self.closing:
-            return (
-                503,
-                {"error": "coordinator is draining; retry later"},
-                {"Retry-After": str(self.drain_retry_after())},
-            )
-        tenant = body.get("tenant", DEFAULT_TENANT)
-        if not isinstance(tenant, str) or not tenant:
-            return 400, {"error": "'tenant' must be a non-empty string"}, {}
-        try:
-            spec = JobSpec.from_request(body)
-            job = self.scheduler.submit(spec, tenant)
-        except RejectedError as exc:
-            return (
-                exc.status,
-                {"error": str(exc), "retry_after": exc.retry_after},
-                {"Retry-After": str(int(exc.retry_after + 0.5) or 1)},
-            )
-        except ServiceError as exc:
-            return exc.status, {"error": str(exc)}, {}
-        if body.get("wait"):
-            timeout = min(float(body.get("timeout", MAX_WAIT_SECONDS)), MAX_WAIT_SECONDS)
-            if not job.wait(timeout):
-                return 202, job.describe(), {}
-            return 200, job.describe(), {}
-        return 202, job.describe(), {}
+    except ServiceError as exc:
+        return exc.status, {"error": str(exc)}
+    return 200, doc
 
 
 def make_coordinator_server(
-    app: CoordinatorApp, host: str = "127.0.0.1", port: int = 0,
+    app: ServiceApp, host: str = "127.0.0.1", port: int = 0,
     *, verbose: bool = False,
 ):
-    """Bind a coordinator to a threading HTTP server (``port=0``: ephemeral).
+    """Bind a coordinator app to a threading HTTP server (``port=0``: ephemeral).
 
-    Unlike the plain :func:`repro.service.app.make_server`, the handler
-    knows the fleet control plane: ``POST /v1/fleet/register`` (JSON)
-    admits standalone workers, and every ``/v1/fleet/*`` path — reads
-    included — rejects requests without a valid ``X-Fleet-Token``.
+    ``app`` is a :class:`ServiceApp` whose backend is a
+    :class:`FleetClient`.  Unlike the plain
+    :func:`repro.service.app.make_server`, the handler knows the fleet
+    control plane: ``GET /v1/fleet/workers`` (membership),
+    ``GET /v1/fleet/replication`` (a live replication census) and
+    ``POST /v1/fleet/register`` (JSON; admits standalone workers), and
+    every ``/v1/fleet/*`` path — reads included — rejects requests
+    without a valid ``X-Fleet-Token``.
     """
-    from repro.service.app import _Handler, _ServiceHTTPServer
+    backend = app.scheduler.backend
+    if not isinstance(backend, FleetClient):
+        raise TypeError("a coordinator app runs on a FleetClient backend")
+    client: FleetClient = backend
 
     class Handler(_Handler):
         def _fleet_authorized(self) -> bool:
             presented = self.headers.get(wire.FLEET_TOKEN_HEADER)
-            if self.app.client.auth.verify(presented):
+            if client.auth.verify(presented):
                 return True
             self._reply(401, {"error": "missing or invalid fleet token"})
             return False
 
         def do_GET(self) -> None:  # noqa: N802 - http.server API
-            if self.path.startswith("/v1/fleet/") and not self._fleet_authorized():
-                return
+            if self.path.startswith("/v1/fleet/"):
+                if not self._fleet_authorized():
+                    return
+                if self.path == "/v1/fleet/workers":
+                    self._reply(200, client.stats())
+                    return
+                if self.path == "/v1/fleet/replication":
+                    self._reply(200, client.replication_report())
+                    return
             super().do_GET()
 
         def do_POST(self) -> None:  # noqa: N802 - http.server API
+            if self.path.startswith("/v1/fleet/") and not self._fleet_authorized():
+                return
             if self.path == "/v1/fleet/register":
-                if not self._fleet_authorized():
-                    return
                 body = self._read_json_object()
                 if body is None:
                     return
-                status, doc = self.app.handle_register(body)
-                self._reply(status, doc)
-                return
-            if self.path.startswith("/v1/fleet/") and not self._fleet_authorized():
+                self._reply(*_register(client, body))
                 return
             super().do_POST()
 

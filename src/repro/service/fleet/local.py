@@ -17,14 +17,11 @@ from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
-from repro.service.fleet.coordinator import (
-    CoordinatorApp,
-    FleetClient,
-    make_coordinator_server,
-)
-from repro.service.fleet.quotas import TenantPolicy
+from repro.service.app import ServiceApp
+from repro.service.fleet.coordinator import FleetClient, make_coordinator_server
 from repro.service.fleet.wire import FleetAuth
 from repro.service.fleet.worker import FleetWorkerApp, make_worker_server
+from repro.service.quotas import TenantPolicy
 
 __all__ = ["LocalFleet"]
 
@@ -106,15 +103,17 @@ class LocalFleet:
             dead_interval=dead_interval,
             auth=self.auth,
         )
-        self.coordinator = CoordinatorApp(
-            self.client,
-            exec_workers=exec_workers,
+        self.coordinator = ServiceApp(
+            backend=self.client,
+            workers=exec_workers,
             queue_cap=queue_cap,
             max_points=max_points,
+            max_batch=max_batch,
             policies=policies,
             default_policy=default_policy,
-            heartbeat_interval=heartbeat_interval,
         )
+        if heartbeat_interval:
+            self.client.start_heartbeat(heartbeat_interval)
         self._coord = _Member(
             self.coordinator, make_coordinator_server(self.coordinator, host, 0)
         )

@@ -40,6 +40,7 @@ from typing import Any
 from repro.experiments.sweep import point_key
 from repro.service.app import ServiceApp, _Handler, version_info
 from repro.service.backends import BackendSweepRunner
+from repro.service.cache2 import ShardedResultCache
 from repro.service.fleet import wire
 
 __all__ = ["FleetWorkerApp", "Registrar", "make_worker_server"]
@@ -47,6 +48,8 @@ __all__ = ["FleetWorkerApp", "Registrar", "make_worker_server"]
 
 class FleetWorkerApp(ServiceApp):
     """A :class:`ServiceApp` extended with the fleet data plane."""
+
+    cache: ShardedResultCache  # a worker always owns a shard
 
     def __init__(
         self,

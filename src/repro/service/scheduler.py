@@ -1,7 +1,10 @@
 """Admission control and job execution for the serving layer.
 
 The scheduler is the seam between the HTTP surface and the compute
-substrate.  Its contract:
+substrate, and the only one: a single daemon (or fleet worker) runs it
+over a backend plus its own :class:`ShardedResultCache`, a fleet
+coordinator over a :class:`~repro.service.fleet.coordinator.FleetClient`
+backend and no cache.  Its contract:
 
 * **Bounded queueing** — at most ``queue_cap`` jobs wait; a submission
   past that is *rejected immediately* with a retry-after hint derived
@@ -11,6 +14,10 @@ substrate.  Its contract:
 * **Admission pricing** — a job estimated above ``max_points`` sweep
   points is refused outright (HTTP 413 at the API layer): the client
   must split it, mirroring how the batch layer slices accepted work.
+* **Tenancy** — each tenant passes a token-bucket quota (429 with the
+  exact token wait as ``Retry-After``) and admitted jobs drain in
+  weighted fair-share order.  Requests that name no tenant ride the
+  default tenant, whose default policy is unlimited with weight 1.
 * **Coalescing** — identical concurrent specs share one execution via
   :class:`~repro.service.batching.JobTable`.
 * **Pinned execution** — while a job runs, every cache key it touches
@@ -19,14 +26,15 @@ substrate.  Its contract:
   campaign's own points.
 * **Deterministic payloads** — each job runs on a fresh
   :class:`~repro.service.backends.BackendSweepRunner` over the shared
-  backend + cache, so responses are byte-identical to the CLI's output
-  for the same parameters, whatever the concurrency.
+  backend (+ cache), so responses are byte-identical to the CLI's
+  output for the same parameters, whatever the concurrency.  The
+  runner's own tally is the job's cache accounting.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -37,6 +45,12 @@ from repro.service.backends import Backend, BackendSweepRunner
 from repro.service.batching import JobTable, estimate_points
 from repro.service.cache2 import ShardedResultCache
 from repro.service.jobs import JobSpec, ServiceError
+from repro.service.quotas import (
+    DEFAULT_TENANT,
+    FairShareQueue,
+    TenantPolicy,
+    TokenBucket,
+)
 
 __all__ = ["Job", "RejectedError", "Scheduler"]
 
@@ -60,9 +74,9 @@ class Job:
 
     job_id: str
     spec: JobSpec
-    #: Tenant the submission was attributed to (fleet quota/fair-share
-    #: accounting; single-daemon jobs all ride the default tenant).
-    tenant: str = "default"
+    #: Tenant the submission was attributed to (quota/fair-share
+    #: accounting; requests naming none ride the default tenant).
+    tenant: str = DEFAULT_TENANT
     status: str = "queued"  # queued | running | done | failed
     submitted_at: float = 0.0
     started_at: float | None = None
@@ -84,7 +98,7 @@ class Job:
             "kind": self.spec.kind,
             "status": self.status,
         }
-        if self.tenant != "default":
+        if self.tenant != DEFAULT_TENANT:
             doc["tenant"] = self.tenant
         if self.started_at is not None and self.finished_at is not None:
             doc["seconds"] = self.finished_at - self.started_at
@@ -100,17 +114,24 @@ class Job:
 
 
 class Scheduler:
-    """Bounded-queue, multi-worker job executor over one shared cache."""
+    """Bounded, tenant-aware, multi-worker job executor over one backend.
+
+    ``cache`` is the daemon's shard (hits are resolved and pinned
+    there); ``None`` means the backend serves from caches of its own
+    (the fleet).
+    """
 
     def __init__(
         self,
         backend: Backend,
-        cache: ShardedResultCache,
+        cache: ShardedResultCache | None = None,
         *,
         workers: int = 2,
         queue_cap: int = 8,
         max_points: int = 512,
         max_batch: int = 64,
+        policies: dict[str, TenantPolicy] | None = None,
+        default_policy: TenantPolicy | None = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -120,18 +141,23 @@ class Scheduler:
         self.cache = cache
         self.max_points = max_points
         self.max_batch = max_batch
-        self._queue: queue.Queue[Job | None] = queue.Queue()
+        self.queue_cap = queue_cap
+        self.policies = dict(policies or {})
+        self.default_policy = default_policy or TenantPolicy()
+        self._buckets: dict[str, TokenBucket] = {}
+        self._fair = FairShareQueue(self.policy_for)
         self._queued = 0  # jobs accepted but not yet finished running
         self._lock = threading.Lock()
-        self.queue_cap = queue_cap
         self._jobs: dict[str, Job] = {}
         self._table = JobTable()
         self._ids = itertools.count(1)
         self._recent_seconds: list[float] = []
+        self._tenants: dict[str, dict[str, int]] = {}
         self.submitted = 0
         self.completed = 0
         self.failed = 0
         self.rejected = 0
+        self.rejected_quota = 0
         #: Jobs still unfinished when a bounded-deadline close gave up.
         self.stranded = 0
         self._closing = False
@@ -141,6 +167,30 @@ class Scheduler:
         ]
         for thread in self._workers:
             thread.start()
+
+    # -- tenancy ------------------------------------------------------
+
+    def policy_for(self, tenant: str) -> TenantPolicy:
+        """The admission policy governing ``tenant``."""
+        return self.policies.get(tenant, self.default_policy)
+
+    def _bucket_for(self, tenant: str) -> TokenBucket | None:
+        policy = self.policy_for(tenant)
+        if policy.rate is None:
+            return None
+        bucket = self._buckets.get(tenant)
+        if bucket is None:
+            bucket = self._buckets[tenant] = TokenBucket(policy.rate, policy.burst)
+        return bucket
+
+    def _tenant_counters(self, tenant: str) -> dict[str, int]:
+        counters = self._tenants.get(tenant)
+        if counters is None:
+            counters = self._tenants[tenant] = {
+                "submitted": 0, "completed": 0, "failed": 0,
+                "rejected_quota": 0, "rejected_queue": 0, "coalesced": 0,
+            }
+        return counters
 
     # -- submission ---------------------------------------------------
 
@@ -153,13 +203,8 @@ class Scheduler:
         per_job = (sum(recent) / len(recent)) if recent else 1.0
         return max(1.0, round(self._queued * per_job / len(self._workers), 1))
 
-    def retry_after(self) -> float:
-        """Public (locking) form of the back-off hint."""
-        with self._lock:
-            return self._retry_after_locked()
-
-    def submit(self, spec: JobSpec) -> Job:
-        """Admit, coalesce or reject one spec; returns its job."""
+    def submit(self, spec: JobSpec, tenant: str = DEFAULT_TENANT) -> Job:
+        """Admit, coalesce or reject one spec for ``tenant``."""
         points = estimate_points(spec)
         if points > self.max_points:
             raise ServiceError(
@@ -169,17 +214,35 @@ class Scheduler:
                 status=413,
             )
         with self._lock:
+            if self._closing:
+                raise ServiceError("scheduler is draining", status=503)
+            counters = self._tenant_counters(tenant)
             self.submitted += 1
+            counters["submitted"] += 1
+            bucket = self._bucket_for(tenant)
+            if bucket is not None:
+                ok, wait = bucket.try_take()
+                if not ok:
+                    self.rejected_quota += 1
+                    counters["rejected_quota"] += 1
+                    raise RejectedError(
+                        f"tenant {tenant!r} is over its admission quota; "
+                        f"retry later",
+                        retry_after=max(wait, 0.1),
+                    )
             job = Job(
                 job_id=f"job-{next(self._ids)}",
                 spec=spec,
+                tenant=tenant,
                 submitted_at=time.time(),
             )
             existing = self._table.claim(spec.canonical(), job)
             if existing is not None:
+                counters["coalesced"] += 1
                 return existing  # identical request already in flight
             if self._queued >= self.queue_cap:
                 self.rejected += 1
+                counters["rejected_queue"] += 1
                 self._table.release(spec.canonical())
                 raise RejectedError(
                     f"queue full ({self.queue_cap} jobs); retry later",
@@ -187,7 +250,9 @@ class Scheduler:
                 )
             self._queued += 1
             self._jobs[job.job_id] = job
-        self._queue.put(job)
+            # Pushed under the lock so close() cannot shut the queue
+            # between the _closing check and the push.
+            self._fair.push(tenant, job)
         return job
 
     def get(self, job_id: str) -> Job | None:
@@ -199,10 +264,10 @@ class Scheduler:
 
     def _worker(self) -> None:
         while True:
-            job = self._queue.get()
-            if job is None:
+            item = self._fair.pop()
+            if item is None:
                 return
-            self._run_job(job)
+            self._run_job(item[1])
 
     def _run_job(self, job: Job) -> None:
         job.status = "running"
@@ -210,9 +275,12 @@ class Scheduler:
         runner = BackendSweepRunner(
             self.backend, cache=self.cache, max_batch=self.max_batch
         )
-        before = self.cache.stats()
+        pinned = (
+            self.cache.pin_session() if self.cache is not None
+            else contextlib.nullcontext()
+        )
         try:
-            with self.cache.pin_session():
+            with pinned:
                 payload = job.spec.execute(runner)
         except ServiceError as exc:
             job.status = "failed"
@@ -221,24 +289,25 @@ class Scheduler:
             job.status = "failed"
             job.error = f"{type(exc).__name__}: {exc}"
         else:
-            after = self.cache.stats()
             job.payload = payload
-            job.cache = {
-                "hits": after["hits"] - before["hits"],
-                "misses": after["misses"] - before["misses"],
-                "corrupt": after["corrupt"] - before["corrupt"],
-                "root": after["root"],
-            }
+            job.cache = dict(runner.tally)
+            if self.cache is not None:
+                job.cache["root"] = str(self.cache.root)
+            else:  # served by the fleet's shards
+                job.cache["fleet"] = True
             job.obs = [capture_summary(c) for c in runner.captures]
             job.status = "done"
         finally:
             job.finished_at = time.time()
             with self._lock:
                 self._queued -= 1
+                counters = self._tenant_counters(job.tenant)
                 if job.status == "done":
                     self.completed += 1
+                    counters["completed"] += 1
                 else:
                     self.failed += 1
+                    counters["failed"] += 1
                 self._recent_seconds.append(job.finished_at - job.started_at)
                 del self._recent_seconds[:-20]  # rolling window
             self._table.release(job.spec.canonical())
@@ -247,7 +316,7 @@ class Scheduler:
     # -- lifecycle / stats --------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """JSON-safe counters for ``/v1/stats`` and `ksr-serve` logs."""
+        """JSON-safe counters, overall and per tenant, for ``/v1/stats``."""
         with self._lock:
             return {
                 "workers": len(self._workers),
@@ -257,45 +326,27 @@ class Scheduler:
                 "completed": self.completed,
                 "failed": self.failed,
                 "rejected": self.rejected,
+                "rejected_quota": self.rejected_quota,
                 "stranded": self.stranded,
                 "coalesced": self._table.coalesced,
                 "max_points": self.max_points,
                 "max_batch": self.max_batch,
                 "backend": self.backend.name,
+                "tenants": {t: dict(c) for t, c in sorted(self._tenants.items())},
             }
-
-    def drain(self, deadline: float = 30.0) -> int:
-        """Wait up to ``deadline`` seconds for accepted jobs to settle.
-
-        Returns the number of jobs still unfinished when the deadline
-        expired (0 on a clean drain).  The caller is responsible for
-        having stopped admission first — this only *waits*, it cannot
-        hold back new submissions.
-        """
-        end = time.monotonic() + max(0.0, deadline)
-        while time.monotonic() < end:
-            with self._lock:
-                if self._queued == 0:
-                    return 0
-            time.sleep(0.02)
-        with self._lock:
-            return self._queued
 
     def close(self, deadline: float = 30.0) -> int:
         """Stop workers within ``deadline`` seconds; release the backend.
 
-        The drain is *bounded*: sentinels queue behind already-accepted
-        work, each worker thread gets a slice of the remaining budget,
-        and whatever is still running when the budget is spent is
-        counted in :attr:`stranded` (and returned) instead of being
-        waited on forever.  Idempotent.
+        The drain is *bounded*: the closed queue still hands workers
+        the already-accepted backlog, each worker thread gets a slice
+        of the remaining budget, and whatever is still running when the
+        budget is spent is counted in :attr:`stranded` (and returned)
+        instead of being waited on forever.  Idempotent.
         """
         with self._lock:
-            already_closing = self._closing
             self._closing = True
-        if not already_closing:
-            for _ in self._workers:
-                self._queue.put(None)
+        self._fair.close()
         end = time.monotonic() + max(0.0, deadline)
         for thread in self._workers:
             thread.join(timeout=max(0.0, end - time.monotonic()))

@@ -1,4 +1,4 @@
-"""Execution backends: equivalence, persistence, registry, harvesting."""
+"""Execution backends: equivalence, persistence, spec parsing, harvesting."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.service.backends import (
     ProcessPoolBackend,
     harvest_captures,
     make_backend,
-    register_backend,
 )
 from repro.service.cache2 import ShardedResultCache
 
@@ -70,18 +69,6 @@ class TestRegistry:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("quantum")
-
-    def test_register_backend_is_pluggable(self):
-        class Fake(InlineBackend):
-            name = "fake"
-
-        register_backend("fake", lambda jobs: Fake())
-        try:
-            assert make_backend("fake").name == "fake"
-        finally:
-            from repro.service import backends
-
-            del backends._REGISTRY["fake"]
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ request announcing ``Content-Length: -1`` used to get no reply and pin
 a handler thread.  These tests speak raw HTTP over a socket — no client
 library would send such a header — to each endpoint that reads a body:
 the public ``POST /v1/jobs``, the coordinator's ``/v1/fleet/register``
-and a worker's pickle data plane.
+and a worker's pickle data plane.  A body announced under the cap but
+trickled (or never sent) is cut by the handler's socket timeout.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -54,6 +56,51 @@ def daemon(tmp_path):
     server.shutdown()
     thread.join(timeout=10)
     app.close()
+
+
+class TestTrickledBody:
+    def test_stalled_body_closes_connection_and_frees_the_thread(self, tmp_path):
+        """A body announced under the cap and then withheld must not pin
+        a handler thread: the socket timeout closes the connection."""
+        from repro.service.app import SOCKET_TIMEOUT_SECONDS
+
+        app = ServiceApp(str(tmp_path / "cache"), backend="inline", workers=1)
+        server = make_server(app, "127.0.0.1", 0)
+        handler = server.RequestHandlerClass
+        # On by default, and long enough never to cut an idle keep-alive.
+        assert handler.timeout == SOCKET_TIMEOUT_SECONDS >= 60
+        handler.timeout = 0.5
+        handler_threads: list[threading.Thread] = []
+        original_handle = handler.handle
+
+        def handle(self):
+            handler_threads.append(threading.current_thread())
+            original_handle(self)
+
+        handler.handle = handle
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            port = server.server_address[1]
+            with socket.create_connection(("127.0.0.1", port), timeout=DEADLINE) as sock:
+                sock.sendall(
+                    b"POST /v1/jobs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                    b"Content-Length: 100\r\n\r\n{\"kind\""
+                )
+                started = time.monotonic()
+                assert sock.recv(1024) == b"", "server must close, not reply"
+                assert time.monotonic() - started < DEADLINE
+            deadline = time.monotonic() + DEADLINE
+            while time.monotonic() < deadline and any(
+                t.is_alive() for t in handler_threads
+            ):
+                time.sleep(0.02)
+            assert len(handler_threads) == 1
+            assert not handler_threads[0].is_alive(), "handler thread still pinned"
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
+            app.close()
 
 
 @pytest.fixture

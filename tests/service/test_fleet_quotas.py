@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service.fleet.quotas import FairShareQueue, TenantPolicy, TokenBucket
+from repro.service.quotas import FairShareQueue, TenantPolicy, TokenBucket
 
 
 class FakeClock:
@@ -107,13 +107,3 @@ class TestFairShareQueue:
         assert queue.pop(timeout=1) is None
         with pytest.raises(RuntimeError):
             queue.push("t", "late")
-
-    def test_depth_accounting(self):
-        queue = make_queue({})
-        queue.push("a", 1)
-        queue.push("a", 2)
-        queue.push("b", 3)
-        assert queue.depth() == 3
-        assert queue.depths() == {"a": 2, "b": 1}
-        assert sorted(queue.drain()) == [("a", 1), ("a", 2), ("b", 3)]
-        assert queue.depth() == 0

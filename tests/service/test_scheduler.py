@@ -93,12 +93,17 @@ class TestLifecycle:
             scheduler.close()
 
 
-def _gate_execute(monkeypatch, gate: threading.Event):
-    """Make any job with ops=999 park until ``gate`` is set."""
+def _gate_execute(monkeypatch, gate: threading.Event, entered: threading.Event | None = None):
+    """Make any job with ops=999 park until ``gate`` is set.
+
+    ``entered`` (when given) is set once a parked job has started executing.
+    """
     original = JobSpec.execute
 
     def execute(self, runner):
         if self.param_dict().get("ops") == 999:
+            if entered is not None:
+                entered.set()
             gate.wait(120)
             return {"blocked": True}
         return original(self, runner)
@@ -238,6 +243,28 @@ class TestConcurrentAdmission:
             gate.set()
             for job in accepted:
                 assert job.wait(120)
+        finally:
+            gate.set()
+            scheduler.close()
+
+
+class TestCacheAccounting:
+    def test_concurrent_job_misses_are_not_counted_against_a_parked_job(
+        self, tmp_path, monkeypatch
+    ):
+        """Per-job hits/misses are that job's own, not a global delta."""
+        scheduler = make_scheduler(tmp_path, workers=2)
+        gate, entered = threading.Event(), threading.Event()
+        _gate_execute(monkeypatch, gate, entered)
+        try:
+            parked = scheduler.submit(point_spec(ops=999))
+            assert entered.wait(120)
+            cold = scheduler.submit(point_spec(n_procs=2, ops=3))
+            assert cold.wait(120) and cold.status == "done"
+            assert cold.cache["misses"] == 1
+            gate.set()
+            assert parked.wait(120) and parked.status == "done"
+            assert parked.cache["misses"] == 0 and parked.cache["hits"] == 0
         finally:
             gate.set()
             scheduler.close()
