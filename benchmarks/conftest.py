@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.sweep import ResultCache, SweepRunner
+from repro.experiments.sweep import SweepRunner
+from repro.service.cache2 import ShardedResultCache
 
 
 def pytest_addoption(parser):
@@ -55,7 +56,7 @@ def paper_size(request) -> bool:
 @pytest.fixture(scope="session")
 def sweep_runner(request) -> SweepRunner:
     """Sweep runner honouring ``--jobs`` / ``--use-cache``."""
-    cache = ResultCache.default() if request.config.getoption("--use-cache") else None
+    cache = ShardedResultCache.default() if request.config.getoption("--use-cache") else None
     return SweepRunner(jobs=request.config.getoption("--jobs"), cache=cache)
 
 

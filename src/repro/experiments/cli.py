@@ -13,8 +13,10 @@ Examples::
 
 Parallel runs are deterministic: every sweep point re-derives its RNG
 streams from its own arguments, so ``--jobs N`` output is byte-identical
-to the serial run.  Results are memoised under ``.ksr-cache/`` (keyed by
-code version + arguments), making re-runs of unchanged points instant.
+to the serial run.  Results are memoised in the result cache under
+``.ksr-cache/`` or ``$KSR_CACHE_DIR`` (keyed by code version +
+arguments), making re-runs of unchanged points instant; ``ksr-serve``
+reads and writes the same cache.
 """
 
 from __future__ import annotations
@@ -262,11 +264,6 @@ def main(argv: list[str] | None = None) -> int:
         "counts after the run",
     )
     args = parser.parse_args(argv)
-    from repro.experiments.sweep import ResultCache, SweepRunner
-
-    args.runner = SweepRunner(
-        jobs=args.jobs, cache=None if args.no_cache else ResultCache.default()
-    )
     if args.list or not args.experiments:
         for key, (title, _) in EXPERIMENTS.items():
             print(f"{key:14s} {title}")
@@ -274,6 +271,12 @@ def main(argv: list[str] | None = None) -> int:
     wanted, unknown = resolve_selection(args.experiments, EXPERIMENTS)
     if unknown:
         return print_unknown(unknown, "experiment")
+    from repro.experiments.sweep import SweepRunner
+    from repro.service.cache2 import ShardedResultCache
+
+    args.runner = SweepRunner(
+        jobs=args.jobs, cache=None if args.no_cache else ShardedResultCache.default()
+    )
     sections: list[str] = []
     for key in wanted:
         title, runner = EXPERIMENTS[key]

@@ -12,11 +12,12 @@ arguments.  That purity is what makes the two features here sound:
   back in submission order and each point re-derives its RNG streams
   from its own arguments, so a parallel run is byte-identical to the
   serial one.
-* **Result cache** — :class:`ResultCache` memoises point values on disk
-  under ``.ksr-cache/`` (override with ``$KSR_CACHE_DIR``), keyed by a
-  SHA-256 of (code version, function identity, canonical arguments).
-  The code version hashes every source file of the installed ``repro``
-  package, so any code change invalidates the whole cache.
+* **Result cache** — an optional
+  :class:`~repro.service.cache2.ShardedResultCache` memoises point
+  values on disk, keyed by :func:`point_key`: a SHA-256 of (code
+  version, function identity, canonical arguments).  The code version
+  hashes every source file of the installed ``repro`` package, so any
+  code change invalidates the whole cache.
 
 This module deliberately lives *outside* the KSR100-linted simulator
 packages (``sim``/``machine``/``ring``/``coherence``/``sync``): process
@@ -27,23 +28,19 @@ leak into simulated time.
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 import re
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-__all__ = ["ResultCache", "SweepRunner", "code_version", "point_key"]
+if TYPE_CHECKING:  # runtime import would cycle: service -> backends -> sweep
+    from repro.service.cache2 import ShardedResultCache
+
+__all__ = ["SweepRunner", "code_version", "point_key"]
 
 # Determinism sinks for `ksr-analyze flow` (KSR110): anything keyed
 # into the result cache must be reproducible across processes.
 __ksr_flow_sinks__ = ("point_key",)
-
-#: Default cache directory (relative to the current working directory).
-CACHE_DIR_DEFAULT = ".ksr-cache"
-#: Environment variable overriding the cache location.
-CACHE_DIR_ENV = "KSR_CACHE_DIR"
 
 _code_version: str | None = None
 
@@ -153,85 +150,6 @@ def point_key(func: Callable[..., Any], kwargs: dict[str, Any]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class ResultCache:
-    """Pickle-per-point cache under one directory.
-
-    Writes are atomic (tempfile + rename), so concurrent sweeps sharing
-    a cache directory can only ever observe complete entries.  A
-    corrupt or unreadable entry degrades to a miss, is counted in
-    :attr:`corrupt`, and the poisoned file is deleted so it cannot mask
-    a subsequent good write.
-
-    The root is resolved to an absolute path once at construction:
-    ``ResultCache("./.ksr-cache")`` denotes the *same* cache no matter
-    which directory later code (or a worker process) runs from.
-    """
-
-    def __init__(self, root: str | os.PathLike[str] = CACHE_DIR_DEFAULT):
-        self.root = Path(root).resolve()
-        self.hits = 0
-        self.misses = 0
-        #: Entries that existed on disk but failed to read/decode
-        #: (always also counted in :attr:`misses`).
-        self.corrupt = 0
-
-    @classmethod
-    def default(cls) -> "ResultCache":
-        """Cache at ``$KSR_CACHE_DIR`` or ``./.ksr-cache``."""
-        return cls(os.environ.get(CACHE_DIR_ENV, CACHE_DIR_DEFAULT))
-
-    def stats(self) -> dict[str, Any]:
-        """Where this cache lives and how it has performed so far."""
-        return {
-            "root": str(self.root),
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-        }
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
-
-    def load(self, key: str) -> tuple[bool, Any]:
-        """Return ``(hit, value)``; any read/decode failure is a miss.
-
-        A missing file is a plain miss.  A file that *exists* but fails
-        to read or decode is corrupt: it is counted separately and
-        unlinked, so the poisoned entry cannot shadow a future store.
-        """
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                entry = pickle.load(fh)
-            value = entry["value"]
-        except FileNotFoundError:
-            self.misses += 1
-            return False, None
-        except (OSError, pickle.PickleError, EOFError, KeyError, AttributeError):
-            self.misses += 1
-            self.corrupt += 1
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover - unlink race / permissions
-                pass
-            return False, None
-        self.hits += 1
-        return True, value
-
-    def store(self, key: str, value: Any, *, meta: dict[str, Any] | None = None) -> None:
-        """Persist one point value (best-effort: IO errors are ignored)."""
-        path = self._path(key)
-        entry = {"value": value, "meta": meta or {}}
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.parent / f".tmp-{os.getpid()}-{key[:16]}"
-            with open(tmp, "wb") as fh:
-                pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except OSError:
-            pass
-
-
 class SweepRunner:
     """Runs point functions serially or across a process pool.
 
@@ -241,10 +159,11 @@ class SweepRunner:
         Worker processes.  ``1`` (the default) computes in-process;
         results are identical either way.
     cache:
-        Optional :class:`ResultCache`.  Hits skip computation entirely.
+        Optional :class:`~repro.service.cache2.ShardedResultCache`.
+        Hits skip computation entirely.
     """
 
-    def __init__(self, jobs: int = 1, cache: ResultCache | None = None):
+    def __init__(self, jobs: int = 1, cache: ShardedResultCache | None = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments.sweep import ResultCache, SweepRunner
+from repro.experiments.sweep import SweepRunner
 from repro.faults.campaign import DEFAULT_RATES, run_campaign
 from repro.obs import ObsSpec
+from repro.service.cache2 import ShardedResultCache
 from repro.util.cli import build_parser, install_sigpipe_handler, print_unknown
 
 __all__ = ["main"]
@@ -113,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     command = args.command[0]
     if command not in _COMMANDS:
         return print_unknown([command], "command")
-    cache = None if args.no_cache else ResultCache.default()
+    cache = None if args.no_cache else ShardedResultCache.default()
     runner = SweepRunner(jobs=args.jobs, cache=cache)
     proc_counts = _parse_int_list(args.processors, "processor")
     if command == "smoke":

@@ -158,10 +158,11 @@ def main(argv: list[str] | None = None) -> int:
     wanted, unknown = resolve_selection(args.subjects, SUBJECTS)
     if unknown:
         return print_unknown(unknown, "subject")
-    from repro.experiments.sweep import ResultCache, SweepRunner
+    from repro.experiments.sweep import SweepRunner
+    from repro.service.cache2 import ShardedResultCache
 
     runner = SweepRunner(
-        jobs=args.jobs, cache=None if args.no_cache else ResultCache.default()
+        jobs=args.jobs, cache=None if args.no_cache else ShardedResultCache.default()
     )
     spec = ObsSpec(
         bucket_cycles=args.bucket,

@@ -6,8 +6,8 @@ sweep runner, the result cache, fault campaigns, observability — makes
 one such point a pure, cacheable function of its arguments.  This
 package turns that substrate into a *service* (``ksr-serve``):
 
-* :mod:`repro.service.cache2` — sharded, size-capped, pinnable result
-  cache (two-level digest fan-out + manifest index).
+* :mod:`repro.service.cache2` — the result cache every tool shares:
+  sharded (two-level digest fan-out), size-capped and pinnable.
 * :mod:`repro.service.backends` — execution backends behind one
   protocol (inline, persistent process pool; the fleet client is the
   third) and the one per-job runner over them.

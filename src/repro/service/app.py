@@ -157,22 +157,15 @@ class ServiceApp:
         return drain_retry_after(self._drain_ends_at)
 
     def close(self, *, drain_deadline: float = 30.0) -> int:
-        """Graceful shutdown: stop admitting, drain, flush, release.
+        """Graceful shutdown: stop admitting, drain, release.
 
         Admission is cut first (503), accepted jobs get up to
-        ``drain_deadline`` seconds to settle, the backend is released
-        and the cache's manifest journal (if any) is compacted to one
-        line per live entry.  Returns the number of jobs stranded by
-        the deadline (0 on a clean exit).
+        ``drain_deadline`` seconds to settle, then the backend is
+        released.  Returns the number of jobs stranded by the deadline
+        (0 on a clean exit).
         """
         self.begin_shutdown(drain_deadline)
-        stranded = self.scheduler.close(deadline=drain_deadline)
-        if self.cache is not None:
-            try:
-                self.cache.compact_manifest()
-            except OSError:  # pragma: no cover - advisory index only
-                pass
-        return stranded
+        return self.scheduler.close(deadline=drain_deadline)
 
     def _substrate_status(self, brief: bool) -> dict[str, Any]:
         """Status entries that differ by substrate: cache or fleet."""
@@ -262,8 +255,14 @@ class _Handler(BaseHTTPRequestHandler):
         self, status: int, doc: dict[str, Any], headers: dict[str, str] | None = None
     ) -> None:
         payload = json.dumps(doc, sort_keys=True).encode("utf-8")
+        self._send(status, payload, "application/json", headers)
+
+    def _send(
+        self, status: int, payload: bytes, content_type: str,
+        headers: dict[str, str] | None = None,
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)

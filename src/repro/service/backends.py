@@ -29,8 +29,9 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Protocol, Sequence
 
-from repro.experiments.sweep import ResultCache, SweepRunner
+from repro.experiments.sweep import SweepRunner
 from repro.obs.probes import ObsCapture
+from repro.service.cache2 import ShardedResultCache
 
 __all__ = [
     "Backend",
@@ -162,7 +163,7 @@ class BackendSweepRunner(SweepRunner):
     def __init__(
         self,
         backend: Backend,
-        cache: ResultCache | None = None,
+        cache: ShardedResultCache | None = None,
         *,
         max_batch: int = 64,
     ):

@@ -1,19 +1,17 @@
-"""Sharded result cache (v2) for the serving layer.
+"""The result cache: one on-disk format for every tool.
 
-:class:`ShardedResultCache` keeps the contract of
-:class:`repro.experiments.sweep.ResultCache` — ``load``/``store`` by
-point key, atomic pickle-per-entry files — and adds what a long-lived
-server needs that a one-shot CLI run does not:
+:class:`ShardedResultCache` memoises sweep-point values by
+:func:`~repro.experiments.sweep.point_key` — ``load``/``store``, atomic
+pickle-per-entry files — for ``ksr-experiments``, ``ksr-trace``,
+``ksr-faults``, the benchmarks and ``ksr-serve`` alike, so a point one
+tool computed is a hit for every other.  It lives under
+``$KSR_CACHE_DIR`` or ``./.ksr-cache`` (:meth:`ShardedResultCache.default`)
+and adds what a long-lived server needs:
 
 * **Two-level fan-out** — entries live at ``objects/ab/cd/<key>.pkl``
   (first two byte-pairs of the SHA-256 key), so a cache holding
   hundreds of thousands of points never produces a directory large
   enough to make ``readdir`` a hot spot.
-* **Manifest index** — an append-only ``manifest.jsonl`` journal of
-  stores and evictions.  The object tree stays the source of truth
-  (the journal is advisory and rebuilt on compaction), but the
-  manifest answers "what is in this cache, from which function, how
-  big" without walking every shard.
 * **Size cap with LRU eviction** — ``cap_bytes`` bounds the resident
   set; eviction drops least-recently-*used* entries (access bumps the
   entry's mtime) until the cap holds again.
@@ -31,7 +29,6 @@ and filesystem state never touch simulated time.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import threading
@@ -39,25 +36,36 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-__all__ = ["ShardedResultCache", "CACHE_FORMAT_VERSION"]
+__all__ = ["ShardedResultCache", "CACHE_FORMAT_VERSION", "default_root"]
+
+#: Default cache directory (relative to the current working directory).
+CACHE_DIR_DEFAULT = ".ksr-cache"
+#: Environment variable overriding the cache location.
+CACHE_DIR_ENV = "KSR_CACHE_DIR"
 
 #: Bumped when the on-disk layout changes; a mismatched cache directory
 #: is refused rather than silently misread.
 CACHE_FORMAT_VERSION = 2
 
 
+def default_root() -> str:
+    """Where every tool's cache lives: ``$KSR_CACHE_DIR`` or ``./.ksr-cache``."""
+    return os.environ.get(CACHE_DIR_ENV, CACHE_DIR_DEFAULT)
+
+
 class ShardedResultCache:
     """Two-level sharded, size-capped, pinnable point cache.
 
-    Duck-type compatible with :class:`~repro.experiments.sweep.ResultCache`
-    (``load``/``store``/``hits``/``misses``/``corrupt``/``stats``), so a
-    :class:`~repro.experiments.sweep.SweepRunner` accepts it unchanged.
+    A corrupt or unreadable entry degrades to a miss, is counted in
+    :attr:`corrupt`, and the poisoned file is deleted so it cannot mask
+    a subsequent good write.
 
     Parameters
     ----------
     root:
-        Cache directory (resolved to an absolute path at construction,
-        like cache v1 after the PR-5 fix).
+        Cache directory, resolved to an absolute path at construction:
+        ``ShardedResultCache("./.ksr-cache")`` denotes the *same* cache
+        no matter which directory later code runs from.
     cap_bytes:
         Resident-set bound; ``None`` means uncapped.  Enforced after
         every store, skipping pinned entries.
@@ -90,6 +98,11 @@ class ShardedResultCache:
         self._pins: dict[int, list[set[str]]] = {}
         self._init_layout()
 
+    @classmethod
+    def default(cls) -> "ShardedResultCache":
+        """Uncapped cache at :func:`default_root`."""
+        return cls(default_root())
+
     # -- layout -------------------------------------------------------
 
     def _init_layout(self) -> None:
@@ -108,19 +121,6 @@ class ShardedResultCache:
 
     def _path(self, key: str) -> Path:
         return self.root / "objects" / key[:2] / key[2:4] / f"{key}.pkl"
-
-    @property
-    def _manifest_path(self) -> Path:
-        return self.root / "manifest.jsonl"
-
-    def _journal(self, record: dict[str, Any]) -> None:
-        """Append one manifest line (O_APPEND: line-atomic for our sizes)."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        try:
-            with open(self._manifest_path, "a", encoding="utf-8") as fh:
-                fh.write(line)
-        except OSError:  # pragma: no cover - advisory index only
-            pass
 
     # -- pinning ------------------------------------------------------
 
@@ -164,6 +164,33 @@ class ShardedResultCache:
 
     # -- load/store (SweepRunner contract) ----------------------------
 
+    def _read(self, key: str) -> tuple[dict[str, Any] | None, bool]:
+        """``(entry, corrupt)`` for ``key`` from local disk.
+
+        A missing file is ``(None, False)``.  A file that exists but
+        fails to read or decode is unlinked, so it cannot shadow a
+        later good store, and comes back as ``(None, True)``.  A
+        readable entry bumps LRU recency: every read is a use.
+        """
+        path = self._path(key)
+        try:
+            with open(path, "rb") as fh:
+                entry = pickle.load(fh)
+            entry["value"]  # an entry without its value is corrupt too
+        except FileNotFoundError:
+            return None, False
+        except (OSError, pickle.PickleError, EOFError, KeyError, AttributeError):
+            try:
+                path.unlink(missing_ok=True)
+            except OSError:  # pragma: no cover - unlink race / permissions
+                pass
+            return None, True
+        try:
+            os.utime(path)
+        except OSError:  # pragma: no cover
+            pass
+        return entry, False
+
     def load(self, key: str) -> tuple[bool, Any]:
         """Return ``(hit, value)``; corrupt entries are counted+dropped.
 
@@ -173,28 +200,15 @@ class ShardedResultCache:
         this shard yet), and returned as a hit.
         """
         self._note_touch(key)
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                entry = pickle.load(fh)
-            value = entry["value"]
-        except FileNotFoundError:
-            return self._remote_or_miss(key)
-        except (OSError, pickle.PickleError, EOFError, KeyError, AttributeError):
-            with self._lock:
-                self.corrupt += 1
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover
-                pass
-            return self._remote_or_miss(key, count_miss_anyway=True)
+        entry, corrupt = self._read(key)
+        if entry is None:
+            if corrupt:
+                with self._lock:
+                    self.corrupt += 1
+            return self._remote_or_miss(key, count_miss_anyway=corrupt)
         with self._lock:
             self.hits += 1
-        try:
-            os.utime(path)  # LRU recency: a hit is a use
-        except OSError:  # pragma: no cover
-            pass
-        return True, value
+        return True, entry["value"]
 
     def _remote_or_miss(
         self, key: str, *, count_miss_anyway: bool = False
@@ -227,31 +241,17 @@ class ShardedResultCache:
         readable entry still bumps LRU recency (a replica serve is a
         use).
         """
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                entry = pickle.load(fh)
-            value, meta = entry["value"], entry.get("meta", {})
-        except FileNotFoundError:
+        entry, _ = self._read(key)
+        if entry is None:
             return False, None, {}
-        except (OSError, pickle.PickleError, EOFError, KeyError, AttributeError):
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover
-                pass
-            return False, None, {}
-        try:
-            os.utime(path)
-        except OSError:  # pragma: no cover
-            pass
-        return True, value, meta
+        return True, entry["value"], entry.get("meta", {})
 
     def contains(self, key: str) -> bool:
         """Whether ``key`` is resident locally (no counters, no remote)."""
         return self._path(key).exists()
 
     def store(self, key: str, value: Any, *, meta: dict[str, Any] | None = None) -> None:
-        """Persist one entry atomically, journal it, enforce the cap."""
+        """Persist one entry atomically, then enforce the cap."""
         self._note_touch(key)
         path = self._path(key)
         entry = {"value": value, "meta": meta or {}}
@@ -263,9 +263,6 @@ class ShardedResultCache:
             os.replace(tmp, path)
         except OSError:
             return
-        size = path.stat().st_size if path.exists() else 0
-        self._journal({"op": "store", "key": key, "size": size,
-                       "func": (meta or {}).get("func", "")})
         if self.cap_bytes is not None:
             self.evict_to_cap()
 
@@ -315,10 +312,6 @@ class ShardedResultCache:
             digest.update(b"\n")
         return digest.hexdigest()[:16]
 
-    def shard_count(self) -> int:
-        """Populated second-level shard directories (``objects/ab/cd``)."""
-        return len({path.parent for _, _, _, path in self._resident()})
-
     def evict_to_cap(self) -> int:
         """Drop least-recently-used unpinned entries until under the cap.
 
@@ -345,51 +338,9 @@ class ShardedResultCache:
                 continue
             total -= size
             dropped += 1
-            self._journal({"op": "evict", "key": key, "size": size})
         with self._lock:
             self.evictions += dropped
         return dropped
-
-    # -- manifest -----------------------------------------------------
-
-    def manifest(self) -> dict[str, dict[str, Any]]:
-        """Replay the journal into ``key -> {size, func}`` for live keys.
-
-        Journal lines for keys no longer on disk (evicted by another
-        worker, or dropped as corrupt) are filtered against the object
-        tree, keeping the manifest truthful without locking writers.
-        """
-        state: dict[str, dict[str, Any]] = {}
-        try:
-            with open(self._manifest_path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:  # pragma: no cover - torn line
-                        continue
-                    if record.get("op") == "store":
-                        state[record["key"]] = {
-                            "size": record.get("size", 0),
-                            "func": record.get("func", ""),
-                        }
-                    elif record.get("op") == "evict":
-                        state.pop(record.get("key"), None)
-        except FileNotFoundError:
-            pass
-        return {k: v for k, v in state.items() if self._path(k).exists()}
-
-    def compact_manifest(self) -> None:
-        """Rewrite the journal to one ``store`` line per live entry."""
-        live = self.manifest()
-        tmp = self.root / f".manifest-tmp-{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for key in sorted(live):
-                record = {"op": "store", "key": key, **live[key]}
-                fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-        os.replace(tmp, self._manifest_path)
 
     # -- stats --------------------------------------------------------
 

@@ -8,6 +8,10 @@ Serve the paper's experiments over a local HTTP/JSON API::
     ksr-serve --jobs 8                 # shorthand for --backend process:8
     ksr-serve --cache-dir /var/ksr --cache-cap-mb 256
 
+The cache is the one every tool shares (``$KSR_CACHE_DIR`` or
+``./.ksr-cache``), so points ``ksr-experiments`` already computed are
+served without recomputing.
+
 Submit work with any HTTP client::
 
     curl -s localhost:8321/v1/experiments
@@ -17,7 +21,9 @@ Submit work with any HTTP client::
 ``--smoke EXPERIMENT`` is the self-test CI runs: it starts a server on
 an ephemeral port, submits the same job twice over real HTTP, and
 asserts (a) both responses render byte-identically and (b) the second
-run is served ≥95% from the sharded cache.
+run is served ≥95% from the cache.  It also prints how much of the
+*first* submission the cache served — all of it when a CLI run with
+the same parameters warmed the cache.
 
 Fleet mode scales the same API across a coordinator + N workers::
 
@@ -55,8 +61,7 @@ worker OS processes over real sockets, byte-identity vs a single
 daemon, a SIGKILL, and a replication-factor-restored assertion.
 
 On SIGTERM/SIGINT the server drains gracefully: admission stops
-(503), in-flight jobs get a bounded deadline, the cache manifest is
-compacted, then the process exits.
+(503), in-flight jobs get a bounded deadline, then the process exits.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ import sys
 import threading
 import urllib.request
 
-from repro.experiments.sweep import CACHE_DIR_ENV
+from repro.service.cache2 import default_root
 from repro.util.cli import format_cache_stats, install_sigpipe_handler
 
 __all__ = ["main", "post_job"]
@@ -99,7 +104,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help=f"sharded cache root (default $${CACHE_DIR_ENV} or ./.ksr-cache2)",
+        help="result cache root, shared with ksr-experiments (default "
+        "$KSR_CACHE_DIR or ./.ksr-cache); fleet workers shard under it",
     )
     parser.add_argument(
         "--cache-cap-mb",
@@ -283,11 +289,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 
 def _make_app(args):
-    import os
-
     from repro.service.app import ServiceApp
 
-    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV + "2", ".ksr-cache2")
+    cache_dir = args.cache_dir or default_root()
     backend = args.backend
     if backend is None:
         backend = f"process:{args.jobs}" if args.jobs else "process:2"
@@ -347,6 +351,9 @@ def run_smoke(args) -> int:
     lookups = stats["hits"] + stats["misses"]
     rate = stats["hits"] / lookups if lookups else 0.0
     print(first["result"]["rendered"])
+    cold = first["cache"]
+    print(f"smoke {args.smoke}: first {cold['hits']}/{cold['hits'] + cold['misses']} "
+          "cache hits")
     print(
         f"smoke {args.smoke}: resubmit {stats['hits']}/{lookups} cache hits "
         f"({rate:.0%}) from {stats['root']}"
@@ -355,12 +362,6 @@ def run_smoke(args) -> int:
         print("smoke: resubmit hit rate under 95%", file=sys.stderr)
         return 1
     return 0
-
-
-def _fleet_cache_root(args) -> str:
-    import os
-
-    return args.cache_dir or os.environ.get(CACHE_DIR_ENV + "2", ".ksr-fleet-cache")
 
 
 def _make_fleet(args, *, n_workers: int | None = None, **overrides):
@@ -384,7 +385,7 @@ def _make_fleet(args, *, n_workers: int | None = None, **overrides):
     if auth.enabled:  # else LocalFleet generates its own secret
         options["auth"] = auth
     options.update(overrides)
-    return LocalFleet(_fleet_cache_root(args), **options)
+    return LocalFleet(args.cache_dir or default_root(), **options)
 
 
 def run_fleet_smoke(args) -> int:
@@ -577,7 +578,7 @@ def run_worker(args) -> int:
     auth = _fleet_auth(args)
     backend = args.backend or (f"process:{args.jobs}" if args.jobs else "inline")
     worker_id = args.worker_id or f"worker-{socket.gethostname()}-{os.getpid()}"
-    root = _fleet_cache_root(args)
+    root = args.cache_dir or default_root()
     # An explicit --cache-dir IS the shard; the default root gets a
     # per-worker subdirectory so co-hosted workers never share a shard.
     cache_dir = root if args.cache_dir else str(Path(root) / worker_id)

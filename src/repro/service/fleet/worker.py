@@ -162,7 +162,6 @@ class FleetWorkerApp(ServiceApp):
             self.peers = peers
         keys = [point_key(func, kwargs) for kwargs in calls]
         present_before = {key for key in keys if self.cache.contains(key)}
-        remote_before = self.cache.remote_hits
         runner = BackendSweepRunner(
             self.scheduler.backend,
             cache=self.cache,
@@ -170,7 +169,6 @@ class FleetWorkerApp(ServiceApp):
         )
         with self.cache.pin_session():
             values = runner.map(func, calls)
-        remote_served = self.cache.remote_hits - remote_before
         fresh = [
             key
             for key in dict.fromkeys(keys)  # de-dup, keep order
@@ -178,18 +176,20 @@ class FleetWorkerApp(ServiceApp):
         ]
         # Keys adopted via read-through are "fresh" here too; pushing
         # them onward is an idempotent store, so no need to tell apart.
-        computed = max(0, len(fresh) - remote_served)
         self._replicate_async(fresh, replica_peers)
         self.maps_served += 1
+        # This map's own tally, not a delta of the shared cache's
+        # counters: a concurrent map's read-through never leaks in.
+        local_hits = len([k for k in keys if k in present_before])
         return {
             "worker_id": self.worker_id,
             "values": values,
             "keys": keys,
             "stats": {
                 "points": len(calls),
-                "local_hits": len([k for k in keys if k in present_before]),
-                "remote_hits": remote_served,
-                "computed": computed,
+                "local_hits": local_hits,
+                "remote_hits": max(0, runner.tally["hits"] - local_hits),
+                "computed": runner.tally["misses"],
             },
         }
 
@@ -289,12 +289,7 @@ class _WorkerHandler(_Handler):
     app: FleetWorkerApp
 
     def _reply_pickle(self, status: int, obj: Any) -> None:
-        payload = wire.dump_payload(obj)
-        self.send_response(status)
-        self.send_header("Content-Type", wire.PICKLE_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        self._send(status, wire.dump_payload(obj), wire.PICKLE_CONTENT_TYPE)
 
     def _fleet_authorized(self) -> bool:
         presented = self.headers.get(wire.FLEET_TOKEN_HEADER)

@@ -22,7 +22,7 @@ from repro.analysis.scenarios import (
     write_manifest,
 )
 from repro.errors import ConfigError
-from repro.experiments.sweep import ResultCache
+from repro.service.cache2 import ShardedResultCache
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -69,7 +69,7 @@ class TestRunCorpus:
         assert run.n_executed == 5
 
     def test_cache_serves_the_second_run(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = ShardedResultCache(tmp_path / "cache")
         enum = enumerate_classes(ScenarioModel(2, 1), 2)
         first = run_corpus([enum], cache=cache)
         assert cache.hits == 0 and cache.misses == first.n_executed

@@ -9,7 +9,8 @@ import pytest
 
 from repro.analysis.races import default_audit_workload, machine_fingerprint
 from repro.experiments.locks import measure_lock, run_figure3
-from repro.experiments.sweep import ResultCache, SweepRunner, code_version, point_key
+from repro.experiments.sweep import SweepRunner, code_version, point_key
+from repro.service.cache2 import ShardedResultCache
 
 
 def square(x: int) -> int:
@@ -123,7 +124,7 @@ class TestPointKey:
 
 class TestResultCache:
     def test_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = ShardedResultCache(tmp_path / "cache")
         key = point_key(square, dict(x=3))
         hit, _ = cache.load(key)
         assert not hit
@@ -133,7 +134,7 @@ class TestResultCache:
         assert cache.hits == 1 and cache.misses == 1
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = ShardedResultCache(tmp_path / "cache")
         key = point_key(square, dict(x=4))
         cache.store(key, 16)
         path = cache._path(key)
@@ -144,7 +145,7 @@ class TestResultCache:
     def test_corrupt_entry_counted_and_unlinked(self, tmp_path):
         # Regression: corruption used to be an unsignalled plain miss,
         # and the poisoned file stayed put, masking the next store.
-        cache = ResultCache(tmp_path / "cache")
+        cache = ShardedResultCache(tmp_path / "cache")
         key = point_key(square, dict(x=41))
         cache.store(key, 1681)
         cache._path(key).write_bytes(b"scrambled")
@@ -157,12 +158,12 @@ class TestResultCache:
         assert hit and value == 1681
 
     def test_plain_miss_is_not_corrupt(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = ShardedResultCache(tmp_path / "cache")
         hit, _ = cache.load(point_key(square, dict(x=6)))
         assert not hit and cache.corrupt == 0 and cache.misses == 1
 
     def test_entry_missing_value_field_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = ShardedResultCache(tmp_path / "cache")
         key = point_key(square, dict(x=5))
         path = cache._path(key)
         path.parent.mkdir(parents=True)
@@ -172,7 +173,7 @@ class TestResultCache:
 
     def test_default_respects_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KSR_CACHE_DIR", str(tmp_path / "elsewhere"))
-        assert ResultCache.default().root == tmp_path / "elsewhere"
+        assert ShardedResultCache.default().root == tmp_path / "elsewhere"
 
     def test_root_resolved_absolute_at_construction(self, tmp_path, monkeypatch):
         # Regression: a relative root used to be re-resolved against
@@ -180,7 +181,7 @@ class TestResultCache:
         # so the same campaign run from two directories got two cold
         # caches.
         monkeypatch.chdir(tmp_path)
-        cache = ResultCache(".ksr-cache")
+        cache = ShardedResultCache(".ksr-cache")
         assert cache.root.is_absolute()
         key = point_key(square, dict(x=9))
         cache.store(key, 81)
@@ -191,7 +192,7 @@ class TestResultCache:
         assert hit and value == 81, "chdir must not cold-start the cache"
 
     def test_stats_reports_resolved_root(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = ShardedResultCache(tmp_path / "cache")
         stats = cache.stats()
         assert stats["root"] == str(tmp_path / "cache")
         assert set(stats) >= {"root", "hits", "misses", "corrupt"}
@@ -211,7 +212,7 @@ class TestSweepRunner:
         assert SweepRunner().run(square, x=6) == 36
 
     def test_second_sweep_is_all_cache_hits(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = ShardedResultCache(tmp_path / "cache")
         runner = SweepRunner(cache=cache)
         calls = [dict(x=i) for i in range(5)]
         first = runner.map(square, calls)
@@ -254,7 +255,7 @@ class TestExperimentEquivalence:
         assert parallel.render() == serial.render()
 
     def test_cached_figure3_rows_identical(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = ShardedResultCache(tmp_path / "cache")
         serial = self._fig3(SweepRunner(jobs=1))
         cold = self._fig3(SweepRunner(cache=cache))
         warm = self._fig3(SweepRunner(cache=cache))

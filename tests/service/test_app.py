@@ -148,7 +148,7 @@ class TestGracefulShutdown:
         assert drain_retry_after(time.monotonic() + 0.2) == 1, "floor is 1s"
         assert drain_retry_after(time.monotonic() + 4.2) in (4, 5)
 
-    def test_close_drains_and_compacts(self, tmp_path):
+    def test_close_drains_in_flight_jobs(self, tmp_path):
         app = ServiceApp(str(tmp_path / "cache"), backend="inline", workers=2)
         from repro.service.jobs import JobSpec
 
@@ -293,6 +293,37 @@ class TestAcceptance:
         assert status == 200 and doc["status"] == "done"
         direct = run_figure3(proc_counts=[2], ops=3)
         assert doc["result"]["rendered"] == direct.render()
+
+    def test_cli_sweep_warms_the_daemon(self, tmp_path, monkeypatch):
+        # One cache for every tool: the points a ksr-experiments-style
+        # sweep stored are hits for the daemon, with identical bytes.
+        from repro.experiments.locks import run_figure3
+        from repro.experiments.sweep import SweepRunner
+        from repro.service.cache2 import ShardedResultCache
+
+        monkeypatch.setenv("KSR_CACHE_DIR", str(tmp_path / "shared"))
+        cache = ShardedResultCache.default()
+        swept = run_figure3(proc_counts=[2, 4], ops=5, runner=SweepRunner(cache=cache))
+        assert cache.misses > 0 and cache.entry_count() > 0
+        app = ServiceApp(str(tmp_path / "shared"), backend="inline", workers=1)
+        server = make_server(app, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        body = {
+            "kind": "experiment",
+            "experiment": "fig3",
+            "params": {"procs": [2, 4], "ops": 5},
+            "wait": True,
+        }
+        try:
+            status, doc, _ = post(f"http://127.0.0.1:{server.server_address[1]}", body)
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
+            app.close()
+        assert status == 200 and doc["status"] == "done"
+        assert doc["cache"]["misses"] == 0 and doc["cache"]["hits"] == cache.misses
+        assert doc["result"]["rendered"] == swept.render()
 
     def test_obs_summaries_flow_through(self, served):
         base, _ = served

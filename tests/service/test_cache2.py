@@ -1,4 +1,4 @@
-"""Sharded cache v2: layout, manifest, LRU eviction, pinning, corruption."""
+"""Sharded cache v2: layout, LRU eviction, pinning, corruption."""
 
 from __future__ import annotations
 
@@ -255,37 +255,6 @@ class TestKeysAndFingerprint:
         assert a.fingerprint() != b.fingerprint()
 
 
-class TestManifest:
-    def test_manifest_tracks_stores(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
-        key = make_key(7)
-        cache.store(key, "v", meta={"func": "tests.square"})
-        manifest = cache.manifest()
-        assert key in manifest
-        assert manifest[key]["func"] == "tests.square"
-        assert manifest[key]["size"] > 0
-
-    def test_manifest_drops_evicted(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c", cap_bytes=2500)
-        for i in range(6):
-            cache.store(make_key(i), os.urandom(1000))
-        manifest = cache.manifest()
-        assert len(manifest) == cache.entry_count()
-        for key in manifest:
-            assert cache._path(key).exists()
-
-    def test_compact_manifest_round_trips(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
-        for i in range(5):
-            cache.store(make_key(i), i)
-        before = cache.manifest()
-        cache.compact_manifest()
-        assert cache.manifest() == before
-        # exactly one line per live entry after compaction
-        lines = (tmp_path / "c" / "manifest.jsonl").read_text().splitlines()
-        assert len(lines) == 5
-
-
 class TestConcurrency:
     def test_parallel_stores_and_loads(self, tmp_path):
         cache = ShardedResultCache(tmp_path / "c")
@@ -315,3 +284,62 @@ class TestConcurrency:
         for field in ("root", "hits", "misses", "corrupt", "evictions",
                       "bytes", "entries", "cap_bytes", "format"):
             assert field in stats
+
+
+_STORE_LOOP = """
+import sys
+from repro.service.cache2 import ShardedResultCache
+
+cache = ShardedResultCache(sys.argv[1])
+keys = sys.argv[2:]
+rounds = 0
+while True:
+    for n, key in enumerate(keys):
+        cache.store(key, (n, rounds, [n] * 500_000))
+    rounds += 1
+    if rounds == 1:
+        print("stored", flush=True)
+"""
+
+
+class TestCrashConsistency:
+    def test_sigkilled_store_never_leaves_a_torn_entry(self, tmp_path):
+        # A writer killed anywhere in ``store`` (mid-pickle, between
+        # write and rename) leaves each key either absent or complete;
+        # the ``.tmp-*`` it dropped is never counted as an entry.
+        import random
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        import repro
+
+        root = tmp_path / "c"
+        keys = [make_key(i) for i in range(3)]
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        rng = random.Random(7)
+        for _ in range(10):  # until a kill lands mid-write (almost always the first)
+            child = subprocess.Popen(
+                [sys.executable, "-c", _STORE_LOOP, str(root), *keys],
+                stdout=subprocess.PIPE, env=env,
+            )
+            assert child.stdout is not None
+            assert child.stdout.readline().strip() == b"stored"
+            time.sleep(rng.uniform(0.0, 0.05))
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=30)
+            child.stdout.close()
+            if list(root.glob("objects/*/*/.tmp-*")):
+                break
+        cache = ShardedResultCache(root)
+        hits = 0
+        for n, key in enumerate(keys):
+            hit, value = cache.load(key)
+            if hit:
+                hits += 1
+                assert value[0] == n and value[2] == [n] * 500_000
+        assert hits == len(keys), "a completed round's entries must survive the kill"
+        assert cache.corrupt == 0
+        assert cache.stats()["entries"] == hits

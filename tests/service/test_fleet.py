@@ -9,6 +9,7 @@ exactly as they would be across machines.
 from __future__ import annotations
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -226,6 +227,54 @@ class TestDraining:
         assert alive["worker-1"] is False
         assert fleet.client.workers["worker-1"].reason == "draining"
         assert "worker-1" not in fleet.client.ring
+
+
+class TestMapAccounting:
+    def test_concurrent_map_does_not_count_anothers_read_through(self, tmp_path):
+        # Map A's read-through is held open while map B runs on the same
+        # worker; A's remote hit lands mid-B and must not show up in B.
+        from repro.experiments.locks import measure_lock
+        from repro.experiments.sweep import point_key
+        from repro.service.fleet import FleetWorkerApp
+
+        app = FleetWorkerApp(str(tmp_path / "w"), worker_id="w", backend="inline")
+        call_a = dict(kind="hardware", n_procs=2, read_fraction=0.0, ops=3, seed=1)
+        call_b = dict(call_a, seed=2)
+        key_a = point_key(measure_lock, call_a)
+        a_fetching, release_a, a_done = threading.Event(), threading.Event(), threading.Event()
+
+        def fetch(key):
+            if key == key_a:
+                a_fetching.set()
+                assert release_a.wait(30)
+                return True, "from a peer"
+            release_a.set()  # B's own miss: let A's remote hit land now
+            assert a_done.wait(30)
+            return False, None
+
+        app.cache.remote_fetch = fetch
+        stats: dict[str, dict] = {}
+
+        def run(name, call, done=None):
+            doc = app.handle_fleet_map(
+                {"func": "repro.experiments.locks.measure_lock", "calls": [call]}
+            )
+            stats[name] = doc["stats"]
+            if done is not None:
+                done.set()
+
+        thread_a = threading.Thread(target=run, args=("a", call_a, a_done))
+        thread_a.start()
+        try:
+            assert a_fetching.wait(30)
+            run("b", call_b)
+        finally:
+            release_a.set()
+            thread_a.join(timeout=30)
+            app.close()
+        assert not thread_a.is_alive()
+        assert stats["a"] == {"points": 1, "local_hits": 0, "remote_hits": 1, "computed": 0}
+        assert stats["b"] == {"points": 1, "local_hits": 0, "remote_hits": 0, "computed": 1}
 
 
 class TestLoadgen:
